@@ -52,4 +52,4 @@ assert rel < 1e-2
 # suppresses graph building entirely
 with tt.no_grad():
     silent = tt.matmul(x, w)
-print(f"inside no_grad the product tracks no parents: op = {silent._op!r}")
+print(f"inside no_grad the product records no graph: {silent!r}")

@@ -258,7 +258,7 @@ def read_manifest(path) -> tuple[dict, list[DatasetEntry]]:
     entries: list[DatasetEntry] = []
     base = os.path.dirname(os.path.abspath(path))
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -268,16 +268,25 @@ def read_manifest(path) -> tuple[dict, list[DatasetEntry]]:
                     k, _, v = body.partition("=")
                     echo[k.strip()] = v.strip()
                 continue
-            fields = dict(tok.split("=", 1) for tok in line.split())
+            where = f"manifest {path} line {lineno}"
+            tokens = line.split()
+            bad = [tok for tok in tokens if "=" not in tok]
+            if bad:
+                raise ArgumentError(f"{where}: token {bad[0]!r} is not key=value")
+            fields = dict(tok.split("=", 1) for tok in tokens)
             missing = {"src", "tgt", "flow", "seed"} - set(fields)
             if missing:
+                raise ArgumentError(f"{where}: missing {sorted(missing)}: {line!r}")
+            try:
+                seed = int(fields["seed"])
+            except ValueError:
                 raise ArgumentError(
-                    f"manifest line missing {sorted(missing)}: {line!r}")
+                    f"{where}: seed {fields['seed']!r} is not an integer") from None
             entries.append(DatasetEntry(
                 src=os.path.join(base, fields["src"]),
                 tgt=os.path.join(base, fields["tgt"]),
                 flow=os.path.join(base, fields["flow"]),
-                seed=int(fields["seed"])))
+                seed=seed))
     if not entries:
         raise ArgumentError(f"manifest {path} lists no pairs")
     return echo, entries

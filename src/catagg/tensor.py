@@ -1,10 +1,14 @@
 """Dense tensor engine with reverse-mode differentiation.
 
 Tensors wrap contiguous numpy arrays (f32 by default, f64 for gradient
-checking). Every differentiable op records its inputs and a vector-Jacobian
-closure on the output tensor; ``backward`` walks that implicit graph in
-reverse topological order. Under ``no_grad`` nothing is recorded, so pure
-inference retains no activations.
+checking). Every differentiable op hangs a small graph node on its output:
+the op name, a vector-Jacobian closure, and the nodes of its inputs (a leaf
+input appears as its own tensor). Nodes never hold interior tensors, so an
+activation stays alive only while some closure captured it. ``backward``
+consumes the graph: it walks the nodes in reverse topological order, drops
+each node's closure and inputs once it has run, and writes ``.grad`` on
+leaves only. Under ``no_grad`` nothing is recorded, so pure inference
+retains no activations.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ MEM = _MemMeter()
 class Tensor:
     """A shaped array of f32/f64 scalars with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -94,9 +98,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self._op = "leaf"
+        self._node: _Node | None = None
         if self.data.base is None:
             n = self.data.nbytes
             MEM.alloc(n)
@@ -131,7 +133,8 @@ class Tensor:
         self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
+        op = "leaf" if self._node is None else self._node.op
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={op})"
 
     # operator sugar (scalars or same-dtype tensors)
     def __add__(self, other):
@@ -160,16 +163,35 @@ def as_tensor(x, dtype=F32) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
+class _Node:
+    """One recorded op. Each entry of `parents` is the input's own node, the
+    input tensor itself when it is a leaf that requires grad, or None for a
+    constant input; `backward` clears `vjp` and `parents` once it has run."""
+
+    __slots__ = ("op", "vjp", "parents", "parent_shapes")
+
+    def __init__(self, op: str, vjp, parents: tuple, parent_shapes: tuple):
+        self.op = op
+        self.vjp = vjp
+        self.parents = parents
+        self.parent_shapes = parent_shapes
+
+
+def _graph_entry(t: Tensor):
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _make(out_data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result, recording the graph edge when grad mode is on."""
+    """Wrap an op result, recording a graph node when grad mode is on."""
     if _check_finite() and not np.all(np.isfinite(out_data)):
         raise NumericError(f"non-finite values produced by op '{op}'")
     track = _grad_enabled() and any(p.requires_grad for p in parents)
     t = Tensor(out_data, requires_grad=track)
     if track:
-        t._parents = parents
-        t._vjp = vjp
-        t._op = op
+        t._node = _Node(op, vjp, tuple(_graph_entry(p) for p in parents),
+                        tuple(p.shape for p in parents))
     return t
 
 
@@ -204,8 +226,10 @@ def add(a: Tensor, b) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"add: shapes {a.shape} vs {b.shape}") from e
 
+    sa, sb = a.shape, b.shape
+
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(out, "add", (a, b), vjp)
 
@@ -219,8 +243,10 @@ def sub(a: Tensor, b) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"sub: shapes {a.shape} vs {b.shape}") from e
 
+    sa, sb = a.shape, b.shape
+
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _make(out, "sub", (a, b), vjp)
 
@@ -236,7 +262,7 @@ def mul(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _make(out, "mul", (a, b), vjp)
 
@@ -290,11 +316,11 @@ def concat(tensors, axis: int) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
+    in_shape, dt = a.shape, a.data.dtype
 
     def vjp(g):
         if axis is None:
-            return (np.full(in_shape, g, dtype=a.data.dtype)
+            return (np.full(in_shape, g, dtype=dt)
                     if np.ndim(g) == 0 else np.broadcast_to(g, in_shape).copy(),)
         gg = g
         if not keepdims:
@@ -378,14 +404,16 @@ def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
-    out = xd * phi
+    out = (xd * phi).astype(xd.dtype, copy=False)
+    if not (_grad_enabled() and x.requires_grad):
+        return _make(out, "gelu", (x,), None)
     pdf = np.exp(-0.5 * xd * xd) / xd.dtype.type(math.sqrt(2.0 * math.pi))
     dydx = phi + xd * pdf
 
     def vjp(g):
         return (g * dydx.astype(g.dtype),)
 
-    return _make(out.astype(xd.dtype), "gelu", (x,), vjp)
+    return _make(out, "gelu", (x,), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -420,12 +448,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def l2norm_last(x: Tensor) -> Tensor:
     """Euclidean norm over the last axis; zero subgradient at zero vectors."""
-    sq = (x.data * x.data).sum(axis=-1)
+    xd = x.data
+    sq = (xd * xd).sum(axis=-1)
     n = np.sqrt(sq)
     safe = np.where(n > 0, n, 1.0)
 
     def vjp(g):
-        return ((g / safe)[..., None] * x.data * (n > 0)[..., None],)
+        return ((g / safe)[..., None] * xd * (n > 0)[..., None],)
 
     return _make(n, "l2norm_last", (x,), vjp)
 
@@ -448,18 +477,22 @@ def l2_normalize_last(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every reachable tensor.
+    """Accumulate gradients of a scalar loss into the leaves it depends on.
 
-    Visits each recorded node exactly once in reverse topological order.
+    Visits each recorded node exactly once in reverse topological order and
+    consumes the graph as it goes: a node's closure and inputs are dropped
+    once its VJP has run, and only leaves receive ``.grad``. A second
+    backward through a consumed node is a StateError.
     """
     if loss.size != 1:
         raise DimensionError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._vjp is None and not loss.requires_grad:
+    root = _graph_entry(loss)
+    if root is None:
         raise StateError("backward: loss carries no graph (built in infer mode?)")
 
-    topo: list[Tensor] = []
+    topo: list[_Node | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -469,31 +502,30 @@ def backward(loss: Tensor):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            if node.vjp is None:
+                raise StateError(f"backward: graph through op '{node.op}' was "
+                                 f"already consumed by an earlier backward")
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
+        if isinstance(node, Tensor):
+            if g is not None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
-        if node._vjp is None:
-            continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad or pg is None:
-                continue
-            if pg.shape != p.shape:
-                pg = pg.reshape(p.shape)
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
-
-
-def assert_all_finite(t: Tensor, where: str = ""):
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError(f"non-finite values{' in ' + where if where else ''}")
+        if g is not None:
+            parent_grads = node.vjp(g)
+            for p, shape, pg in zip(node.parents, node.parent_shapes, parent_grads):
+                if p is None or pg is None:
+                    continue
+                if pg.shape != shape:
+                    pg = pg.reshape(shape)
+                acc = grads.get(id(p))
+                grads[id(p)] = pg if acc is None else acc + pg
+        node.vjp = None
+        node.parents = ()

@@ -103,12 +103,20 @@ def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != BUNDLE_VERSION:
             raise CheckpointError(f"bundle version {version} unsupported (want {BUNDLE_VERSION})")
         (mlen,) = struct.unpack("<I", _read_exact(f, 4))
-        meta = json.loads(_read_exact(f, mlen).decode())
+        try:
+            meta = json.loads(_read_exact(f, mlen).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"bundle metadata in {path} is not UTF-8 JSON: {e}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"bundle metadata in {path} is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2))
-            name = _read_exact(f, nlen).decode()
+            try:
+                name = _read_exact(f, nlen).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError(f"record name in {path} is not UTF-8") from None
             if name in arrays:
                 raise CheckpointError(f"duplicate record '{name}'")
             arrays[name] = read_tensor(f)

@@ -113,6 +113,24 @@ class TestTrainEval:
                      "--set", "no.such=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("pattern,repl", [(r"$", " stray"),
+                                              (r"seed=\d+", "seed=abc")],
+                             ids=["stray-token", "non-integer-seed"])
+    def test_malformed_manifest_row_is_error(self, workdir, tmp_path, capsys,
+                                             pattern, repl):
+        # corrupt the first pair row; data paths resolve next to the manifest
+        text = open(workdir["data"]).read()
+        row = next(l for l in text.splitlines() if l and not l.startswith("#"))
+        man = tmp_path / "manifest.txt"
+        man.write_text(text.replace(row, re.sub(pattern, repl, row, count=1)))
+        code = main(["train", "--data", str(man), "--out", str(tmp_path / "ck.catb"),
+                     "--set", "train.steps=1", *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(r"^error: manifest .* line \d+", err, re.M)
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "ck.catb")
+
 
 class TestInfer:
     def test_flow_files_and_keypoints(self, workdir, tmp_path):

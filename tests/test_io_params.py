@@ -82,6 +82,25 @@ def test_bundle_version_mismatch(tmp_path):
         load_bundle(p)
 
 
+@pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+def test_bundle_bad_metadata_rejected(tmp_path, blob):
+    p = tmp_path / "m.catb"
+    save_bundle(p, {}, {})
+    raw = p.read_bytes()
+    # magic, version, metadata length, metadata, record count
+    p.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[-4:])
+    with pytest.raises(CheckpointError, match="metadata"):
+        load_bundle(p)
+
+
+def test_bundle_bad_record_name_rejected(tmp_path):
+    p = tmp_path / "n.catb"
+    save_bundle(p, {"zz": np.zeros(1, np.float32)}, {})
+    p.write_bytes(p.read_bytes().replace(b"zz", b"\xff\xfe", 1))
+    with pytest.raises(CheckpointError, match="record name"):
+        load_bundle(p)
+
+
 def test_store_registers_and_counts():
     ps = ParamStore(np.random.default_rng(0))
     w = ps.add("blk.w", (4, 3))

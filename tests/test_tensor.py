@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,8 +168,40 @@ def test_no_grad_retains_no_graph():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with T.no_grad():
         out = T.gelu(T.matmul(x, x))
-    assert out._vjp is None and out._parents == ()
+    assert out._node is None
     assert not out.requires_grad
+
+
+def test_backward_writes_grad_on_leaves_only():
+    x = T.Tensor(np.ones((2, 3)), dtype=np.float64, requires_grad=True)
+    h = T.gelu(T.matmul(x, T.Tensor(np.ones((3, 2)), dtype=np.float64)))
+    T.backward(T.tsum(h))
+    assert h.grad is None
+    assert x.grad is not None and x.grad.shape == (2, 3)
+
+
+def test_backward_frees_uncaptured_activations():
+    # the graph links nodes, not tensors, and no VJP captured the add
+    # output, so nothing keeps it alive while the loss stays referenced
+    x = T.Tensor(np.ones(4), dtype=np.float64, requires_grad=True)
+    h = T.add(x, x)
+    ref = weakref.ref(h)
+    loss = T.tsum(T.scale(h, 3.0))
+    del h
+    T.backward(loss)
+    assert ref() is None
+    assert loss.item() == 24.0
+    np.testing.assert_array_equal(x.grad, 6.0 * np.ones(4))
+
+
+def test_backward_twice_on_consumed_graph_is_error():
+    x = T.Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
+    loss = T.tsum(T.mul(x, x))
+    T.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(StateError, match="consumed"):
+        T.backward(loss)
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_finite_check_names_op():
