@@ -9,8 +9,7 @@ the whole pipeline self-contained.
 """
 
 from .cats import CatsAggregator, CatsConfig
-from .catspp import (CatsPPAggregator, EfficientConfig, EmbedConfig,
-                     LayerSpec, pyramidal_aggregate)
+from .catspp import CatsPPAggregator, EfficientConfig, EmbedConfig, LayerSpec
 from .correlation import (CorrelationStack, FeatureMap, Hypercorrelation,
                           build_hypercorrelation, build_stack,
                           cosine_correlation, swap)
@@ -41,8 +40,7 @@ __all__ = [
     "build_hypercorrelation", "build_stack", "cosine_correlation",
     "cosine_lr", "evaluate", "generate_pair", "hard_argmax_flow",
     "load_checkpoint", "load_pairs", "make_optimizer", "no_grad", "pck",
-    "pyramidal_aggregate", "raw_correlation_mean", "read_keypoints",
-    "read_manifest", "save_checkpoint", "soft_argmax_flow", "swap", "train",
-    "train_step", "transfer_keypoints", "write_dataset", "write_keypoints",
-    "__version__",
+    "raw_correlation_mean", "read_keypoints", "read_manifest",
+    "save_checkpoint", "soft_argmax_flow", "swap", "train", "train_step",
+    "transfer_keypoints", "write_dataset", "write_keypoints", "__version__",
 ]

@@ -85,9 +85,7 @@ class StandardBlock:
         qm = tt.linear(h, self._p("wq"), self._p("bq"))
         km = tt.linear(h, self._p("wk"), self._p("bk"))
         vm = tt.linear(h, self._p("wv"), self._p("bv"))
-        scores = tt.scale(tt.matmul(qm, tt.transpose(km, (1, 0))),
-                          1.0 / np.sqrt(self.feat))
-        ctx = tt.matmul(tt.softmax(scores, axis=-1), vm)
+        ctx = tt.attention(qm, km, vm)
         x = tt.add(x, tt.linear(ctx, self._p("wo"), self._p("bo")))
         h = tt.layer_norm(x, self._p("ln2.g"), self._p("ln2.b"))
         h = tt.gelu(tt.linear(h, self._p("ffn.w1"), self._p("ffn.b1")))
@@ -95,7 +93,12 @@ class StandardBlock:
 
 
 def peak_forward_bytes(fn) -> int:
-    """Peak live tensor bytes allocated while fn() runs under no_grad."""
+    """Peak live tensor bytes allocated while fn() runs under no_grad.
+
+    `MEM` counts live `Tensor` buffers only, not arrays that VJP closures
+    captured, so the figure is meaningful here, with nothing recorded, and
+    not for a train step.
+    """
     gc.collect()
     MEM.reset_peak()
     base = MEM.current

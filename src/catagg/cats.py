@@ -18,7 +18,7 @@ from .errors import ArgumentError, ConfigError, DimensionError
 from .params import ParamStore
 from .tensor import Tensor
 
-__all__ = ["CatsConfig", "CatsAggregator", "aggregate_cats"]
+__all__ = ["CatsConfig", "CatsAggregator"]
 
 MODES = ("serial", "parallel", "both")
 
@@ -50,11 +50,6 @@ class CatsConfig:
         if self.feat % self.n_heads != 0:
             raise ConfigError(
                 f"token extent {self.feat} not divisible by {self.n_heads} heads")
-
-
-_BLOCK_SLOTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                "ln1g", "ln1b", "ln2g", "ln2b",
-                "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
 
 
 class CatsAggregator:
@@ -137,9 +132,7 @@ class CatsAggregator:
         q = heads(tt.linear(z, self._p(f"{base}.wq"), self._p(f"{base}.bq")))
         k = heads(tt.linear(z, self._p(f"{base}.wk"), self._p(f"{base}.bk")))
         v = heads(tt.linear(z, self._p(f"{base}.wv"), self._p(f"{base}.bv")))
-        logits = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), dh ** -0.5)
-        att = tt.softmax(logits, axis=-1)
-        mixed = tt.matmul(att, v)
+        mixed = tt.attention(q, k, v)
         merged = tt.reshape(tt.transpose(mixed, (0, 2, 1, 3)), (b, t, f))
         return tt.linear(merged, self._p(f"{base}.wo"), self._p(f"{base}.bo"))
 
@@ -201,9 +194,3 @@ class CatsAggregator:
         a = self.transform(c_src, fs)
         b = self.transform(tt.transpose(c_src, (0, 2, 1)), ft)
         return tt.add(tt.add(a, tt.transpose(b, (0, 2, 1))), c_src)
-
-
-def aggregate_cats(agg: CatsAggregator, stack: CorrelationStack,
-                   feats_s: list[FeatureMap], feats_t: list[FeatureMap],
-                   mode: str | None = None) -> CorrelationStack:
-    return agg.aggregate(stack, feats_s, feats_t, mode=mode)

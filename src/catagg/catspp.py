@@ -13,7 +13,7 @@ that zeroed projections reduce the whole cascade to exact residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tensor as tt
 from .correlation import FeatureMap, Hypercorrelation, resize_features
@@ -22,8 +22,7 @@ from .params import ParamStore
 from .tensor import Tensor
 from .volume_ops import conv4d, upsample4d_bilinear
 
-__all__ = ["EmbedConfig", "EfficientConfig", "LayerSpec", "CatsPPAggregator",
-           "pyramidal_aggregate"]
+__all__ = ["EmbedConfig", "EfficientConfig", "LayerSpec", "CatsPPAggregator"]
 
 
 def _ceil_div(n: int, s: int) -> int:
@@ -192,9 +191,7 @@ class CatsPPAggregator:
         vconv = tt.add(conv4d(mn, self._p(f"{base}.qv.k")), self._p(f"{base}.qv.b"))
         vnorm = tt.layer_norm(vconv, self._p(f"{base}.ln_v.g"), self._p(f"{base}.ln_v.b"))
         vmat = self._tokens_last_pair(vnorm)
-        logits = tt.scale(tt.matmul(qmat, tt.transpose(kmat, (1, 0))),
-                          self.eff.a ** -0.5)
-        zhat = tt.matmul(tt.softmax(logits, axis=-1), vmat)
+        zhat = tt.attention(qmat, kmat, vmat)
         vol = tt.transpose(tt.reshape(zhat, (ht, wt, hs, ws, d)), (2, 3, 0, 1, 4))
         z = tt.add(vol, m)
         return self.volumetric_ffn(z, q, e)
@@ -264,8 +261,3 @@ def _layer_feature(feats: list[FeatureMap], q: int) -> FeatureMap:
     if not members:
         raise ArgumentError(f"no features tagged layer {q}")
     return max(members, key=lambda f: f.level)
-
-
-def pyramidal_aggregate(agg: CatsPPAggregator, hypers: list[Hypercorrelation],
-                        feats_s: list[FeatureMap], feats_t: list[FeatureMap]) -> Tensor:
-    return agg.aggregate(hypers, feats_s, feats_t)

@@ -19,7 +19,7 @@ from . import tensor as tt
 from .bench import compare_blocks, param_table, time_model
 from .config import RunConfig
 from .errors import CatAggError, CheckpointError, ConfigError, UsageError
-from .flow import FlowField, read_keypoints, transfer_keypoints, write_keypoints
+from .flow import read_keypoints, transfer_keypoints, write_keypoints
 from .gradcheck import CHECKS, run_all
 from .params import ParamStore
 from .tensor import Tensor

@@ -15,6 +15,7 @@ import numpy as np
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError, NumericError
 from .tensor import Tensor
+from .volume_ops import _linear_taps
 
 __all__ = ["FlowField", "KeypointSet", "soft_argmax_flow", "hard_argmax_flow",
            "transfer_keypoints", "aepe", "pck", "read_keypoints",
@@ -123,14 +124,9 @@ def hard_argmax_flow(c: Tensor) -> FlowField:
 def _sample_bilinear(field: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Border-clamped bilinear read of [h,w,c] at fractional grid coords."""
     h, w = field.shape[:2]
-    gx = np.clip(gx, 0.0, w - 1.0)
-    gy = np.clip(gy, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(gx).astype(int), 0, w - 1)
-    y0 = np.clip(np.floor(gy).astype(int), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (gx - x0)[:, None]
-    fy = (gy - y0)[:, None]
+    x0, x1, fx = _linear_taps(gx, w)
+    y0, y1, fy = _linear_taps(gy, h)
+    fx, fy = fx[:, None], fy[:, None]
     top = field[y0, x0] * (1 - fx) + field[y0, x1] * fx
     bot = field[y1, x0] * (1 - fx) + field[y1, x1] * fx
     return top * (1 - fy) + bot * fy

@@ -115,6 +115,12 @@ def _chk_linear(rng):
     return [x, w, b], lambda: tt.linear(x, w, b)
 
 
+@_register("attention")
+def _chk_attention(rng):
+    q, k, v = _t(rng, 2, 3, 4), _t(rng, 2, 5, 4), _t(rng, 2, 5, 3)
+    return [q, k, v], lambda: tt.attention(q, k, v)
+
+
 @_register("softmax")
 def _chk_softmax(rng):
     x = _t(rng, 4, 5)

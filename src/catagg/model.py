@@ -9,8 +9,6 @@ on the same grid for comparison.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as tt
 from .cats import CatsAggregator, CatsConfig
 from .catspp import CatsPPAggregator, EfficientConfig, EmbedConfig, LayerSpec

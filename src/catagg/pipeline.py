@@ -11,6 +11,7 @@ run is bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -227,7 +228,13 @@ class DatasetEntry:
 def write_dataset(out_dir, n_pairs: int, seed: int, grid: tuple[int, int],
                   warp_magnitude: float, size: int = 128,
                   config_echo: dict | None = None) -> str:
-    """Generate pairs, write their tensors, return the manifest path."""
+    """Generate pairs, write their tensors, return the manifest path.
+
+    Pairs take consecutive seeds from `seed` on, skipping any seed that
+    `generate_pair` rejects; the manifest records each pair's own seed. The
+    generator's error is raised once as many seeds were rejected as pairs
+    were asked for.
+    """
     if n_pairs < 1:
         raise ArgumentError(f"n_pairs must be positive, got {n_pairs}")
     os.makedirs(out_dir, exist_ok=True)
@@ -236,9 +243,17 @@ def write_dataset(out_dir, n_pairs: int, seed: int, grid: tuple[int, int],
                  "data.magnitude": warp_magnitude, "data.size": size,
                  "data.seed": seed, "data.pairs": n_pairs})
     lines = [f"# {k} = {v}" for k, v in sorted(echo.items())]
+    seeds, rejected = itertools.count(seed), 0
     for i in range(n_pairs):
-        pair = generate_pair(seed + i, grid=grid, warp_magnitude=warp_magnitude,
-                             size=size)
+        while True:
+            try:
+                pair = generate_pair(next(seeds), grid=grid,
+                                     warp_magnitude=warp_magnitude, size=size)
+                break
+            except ArgumentError:
+                rejected += 1
+                if rejected == n_pairs:
+                    raise
         names = (f"src_{i:04d}.catt", f"tgt_{i:04d}.catt", f"flow_{i:04d}.catt")
         save_tensor(os.path.join(out_dir, names[0]), pair.source.data)
         save_tensor(os.path.join(out_dir, names[1]), pair.target.data)

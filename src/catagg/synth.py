@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .flow import FlowField, grid_to_pixel
+from .flow import FlowField, _sample_bilinear, grid_to_pixel
 from .tensor import Tensor
 
 __all__ = ["SyntheticPair", "random_affine", "smooth_image", "warp_image",
@@ -98,19 +98,8 @@ def warp_image(img: np.ndarray, warp: np.ndarray) -> np.ndarray:
                          np.arange(w, dtype=np.float64), indexing="ij")
     tgt = np.stack([gx.ravel(), gy.ravel()], axis=1)
     src = (tgt - shift) @ inv.T
-    sx = np.clip(src[:, 0], 0.0, w - 1.0)
-    sy = np.clip(src[:, 1], 0.0, h - 1.0)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (sx - x0)[:, None]
-    fy = (sy - y0)[:, None]
-    flat = img.reshape(h * w, -1).astype(np.float64)
-    idx = lambda yy, xx: flat[yy * w + xx]
-    top = idx(y0, x0) * (1 - fx) + idx(y0, x1) * fx
-    bot = idx(y1, x0) * (1 - fx) + idx(y1, x1) * fx
-    out = top * (1 - fy) + bot * fy
+    field = img.reshape(h, w, -1).astype(np.float64)
+    out = _sample_bilinear(field, src[:, 0], src[:, 1])
     return out.reshape(img.shape).astype(img.dtype)
 
 

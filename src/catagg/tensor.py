@@ -61,7 +61,12 @@ def finite_check():
 
 
 class _MemMeter:
-    """Tracks bytes held by live tensor buffers (views excluded)."""
+    """Tracks bytes held by live tensor buffers (views excluded).
+
+    A buffer counts while its `Tensor` lives. Arrays that VJP closures
+    captured outlive their tensors and are not counted, nor are op
+    temporaries, so the figure describes `no_grad` forwards, not train steps.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -123,12 +128,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
@@ -157,10 +156,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def as_tensor(x, dtype=F32) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 class _Node:
@@ -372,6 +367,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w + b over the last axis of x."""
     y = matmul(x, w)
     return add(y, b) if b is not None else y
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q @ kᵀ / sqrt(d)) @ v over the last two axes, d = q.shape[-1]."""
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    logits = scale(matmul(q, transpose(k, swap)), q.shape[-1] ** -0.5)
+    return matmul(softmax(logits, axis=-1), v)
 
 
 # ---------------------------------------------------------------------------

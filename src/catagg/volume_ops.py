@@ -65,13 +65,13 @@ def conv4d(x: Tensor, kernel: Tensor, stride=(1, 1, 1, 1)) -> Tensor:
         slices[off] = sl
         out += patch.reshape(-1, cin) @ kd[off]
     out = out.reshape(outs + (cout,))
-
-    xp_shape = xp.shape
+    xd = x.data  # the padded copy is rebuilt in backward rather than held
 
     def vjp(g):
+        xp = np.pad(xd, pad)
         gm = g.reshape(-1, cout)
         dk = np.zeros_like(kd)
-        dxp = np.zeros(xp_shape, dtype=g.dtype)
+        dxp = np.zeros(xp.shape, dtype=g.dtype)
         for off in offsets:
             sl = slices[off]
             patch = xp[sl].reshape(-1, cin)
@@ -83,16 +83,19 @@ def conv4d(x: Tensor, kernel: Tensor, stride=(1, 1, 1, 1)) -> Tensor:
     return _make(out, "conv4d", (x, kernel), vjp)
 
 
+def _linear_taps(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Border-clamped linear taps on an axis of extent n: the value at
+    fractional position src is (1 - t) * f[lo] + t * f[hi]."""
+    src = np.clip(src, 0.0, n - 1.0)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n - 1)
+    return lo, hi, src - lo
+
+
 @lru_cache(maxsize=256)
 def _interp_rows(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half-pixel-center linear interpolation taps mapping n_in -> n_out."""
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    lo = np.floor(src).astype(np.int64)
-    lo = np.minimum(lo, n_in - 1)
-    hi = np.minimum(lo + 1, n_in - 1)
-    t = src - lo
-    return lo, hi, t
+    return _linear_taps((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, n_in)
 
 
 def interp_matrix(n_out: int, n_in: int, dtype=np.float32) -> np.ndarray:

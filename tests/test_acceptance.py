@@ -22,9 +22,8 @@ import numpy as np
 from catagg import pipeline as pl
 from catagg import tensor as tt
 from catagg.bench import compare_blocks
-from catagg.cats import CatsAggregator, CatsConfig, aggregate_cats
-from catagg.catspp import (CatsPPAggregator, EfficientConfig, EmbedConfig,
-                           LayerSpec, pyramidal_aggregate)
+from catagg.cats import CatsAggregator, CatsConfig
+from catagg.catspp import CatsPPAggregator, EfficientConfig, EmbedConfig, LayerSpec
 from catagg.cli import main as cli_main
 from catagg.config import RunConfig
 from catagg.correlation import (CorrelationStack, FeatureMap,
@@ -188,7 +187,7 @@ def test_c3_zeroed_projections_reduce_to_identity():
     fs, ft = feats(), feats()
     with tt.no_grad():
         for mode in ("serial", "parallel", "both"):
-            out = aggregate_cats(agg, stack, fs, ft, mode=mode)
+            out = agg.aggregate(stack, fs, ft, mode=mode)
             assert out.maps.data.tobytes() == stack.maps.data.tobytes(), mode
 
     # pyramidal aggregator: output collapses to the embed+upsample cascade
@@ -198,7 +197,7 @@ def test_c3_zeroed_projections_reduce_to_identity():
     h4, h5, feats_s, feats_t = _toy_inputs()
     with tt.no_grad():
         ref = tt.add(upsample4d_bilinear(pp.conv_embed(h5), 2), pp.conv_embed(h4))
-        out = pyramidal_aggregate(pp, [h4, h5], feats_s, feats_t)
+        out = pp.aggregate([h4, h5], feats_s, feats_t)
     assert out.data.tobytes() == ref.data.tobytes()
     _ok(3, "two-pass identity bitwise in 3 modes; pyramid equals cascade bitwise")
 

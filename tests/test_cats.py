@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from catagg import tensor as T
-from catagg.cats import CatsAggregator, CatsConfig, aggregate_cats
+from catagg.cats import CatsAggregator, CatsConfig
 from catagg.correlation import FeatureMap, build_stack
 from catagg.errors import ConfigError, DimensionError
 from catagg.gradcheck import finite_diff

@@ -4,13 +4,7 @@ from scipy.ndimage import correlate
 from scipy.special import erf
 
 from catagg import tensor as T
-from catagg.catspp import (
-    CatsPPAggregator,
-    EfficientConfig,
-    EmbedConfig,
-    LayerSpec,
-    pyramidal_aggregate,
-)
+from catagg.catspp import CatsPPAggregator, EfficientConfig, EmbedConfig, LayerSpec
 from catagg.correlation import FeatureMap, Hypercorrelation, build_hypercorrelation
 from catagg.errors import ConfigError
 from catagg.gradcheck import finite_diff
@@ -386,7 +380,7 @@ def test_full_pyramid_matches_monolithic_oracle():
     rng = np.random.default_rng(17)
     agg, store, hypers, fs, ft = _toy(rng)
     _wake_zeros(store, rng)
-    out = pyramidal_aggregate(agg, hypers, fs, ft).data
+    out = agg.aggregate(hypers, fs, ft).data
     P = {n[len("catspp."):]: t.data.astype(np.float64) for n, t in store.items()}
     raw = {hc.layer: hc.vol.data.astype(np.float64) for hc in hypers}
     f_s = {f.layer: f.grid.data.astype(np.float64) for f in fs}

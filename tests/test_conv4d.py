@@ -71,6 +71,17 @@ def test_conv4d_gradcheck():
     assert check_op("conv4d_strided", seeds=5) < 1e-4
 
 
+def test_backward_holds_no_padded_copy():
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.normal(size=(3, 3, 2, 2, 2)), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(3, 3, 3, 3, 2, 2)))
+    out = conv4d(x, k)
+    held = [c.cell_contents for c in out._node.vjp.__closure__]
+    shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+    assert (5, 5, 4, 4, 2) not in shapes
+    assert x.shape in shapes
+
+
 def test_upsample_constant_stays_constant():
     x = np.full((2, 3, 2, 2, 2), 1.25, dtype=np.float32)
     out = upsample4d_bilinear(T.Tensor(x), 2)

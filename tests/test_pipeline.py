@@ -242,6 +242,25 @@ class TestDatasetFiles:
             load_tensor(entries[1].flow),
             pairs[1].gt_flow((16, 16)).grid.data)
 
+    def test_rejected_seed_is_skipped(self, tmp_path):
+        # generate_pair rejects seed 1014864 on an 8x8 grid
+        man = pl.write_dataset(str(tmp_path), n_pairs=2, seed=1014863,
+                               grid=(8, 8), warp_magnitude=1.0)
+        _, entries = pl.read_manifest(man)
+        pairs = pl.load_pairs(man)
+        assert [p.seed for p in pairs] == [1014863, 1014865]
+        for en, p in zip(entries, pairs):
+            np.testing.assert_array_equal(load_tensor(en.src), p.source.data)
+            np.testing.assert_array_equal(load_tensor(en.tgt), p.target.data)
+            np.testing.assert_array_equal(load_tensor(en.flow),
+                                          p.gt_flow((8, 8)).grid.data)
+
+    def test_all_seeds_rejected_raises(self, tmp_path):
+        with pytest.raises(ArgumentError, match="no usable affine"):
+            pl.write_dataset(str(tmp_path), n_pairs=2, seed=0,
+                             grid=(8, 8), warp_magnitude=50.0)
+        assert not (tmp_path / "manifest.txt").exists()
+
     def test_manifest_requires_all_fields(self, tmp_path):
         man = tmp_path / "manifest.txt"
         man.write_text("src=a.catt tgt=b.catt seed=1\n")

@@ -1,5 +1,7 @@
 """Synthetic pair generation: analytic flow, warp consistency, draw gates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -187,3 +189,37 @@ class TestGeneratePair:
         exp_dx = (p.warp[0, 0] * px + p.warp[0, 1] * px + p.warp[0, 2] - px) * 8 / 128
         np.testing.assert_allclose(np.diagonal(f8[..., 0]), exp_dx, atol=1e-10)
         assert f16.shape == (16, 16, 2)
+
+
+# SHA-256 of generate_pair(seed, grid) source, target and gt_flow bytes.
+# Manifests regenerate pairs from seeds, so these bytes are a format contract.
+_PAIR_DIGESTS = {
+    ((16, 16), 0): (
+        "d7aa9dc08dbf64de49ff398331cdea18bc2f6a7dd410cec85bd65314ed70bc2e",
+        "ce6442cbc00573633fe33d1e62565de5d3c156fb8c02330d9fcc10ecd8f6414e",
+        "ec55aeffca3c58a9dcec3cc9ea6e4d221160f87c161fd15340faf7b28d6aef2a"),
+    ((16, 16), 1000): (
+        "354138567735ce7d5d4df2b6dbbb47642de7d36c565fbf829155bf3d54927ae5",
+        "c50f09a7a85d3853819a03ed08f8226b3521b050c8439ee3837a474e64177350",
+        "7c51838c9eb63ad00593d4f1191bb67a9994c2b8736c53731b8ca93e4d954e83"),
+    ((16, 16), 1014863): (
+        "9a1a314541611596fc3288995f3150c784b5e27d653a35e930e0663cfeb5beb0",
+        "54da542de2f1b24ec5f5847256deb4fe48c928a1cc1ebec9b87d96cd67e61e19",
+        "1bf682dec8e9435ad553bce844300456f8f8a73d41d9ccfe50be54b57d067023"),
+    ((8, 8), 7): (
+        "32008b98314c0cb3621f74b43b9a60961e0517d7d2780ee355cf667aabe507d1",
+        "c8b57067f199e62d4e5b80c709cf1bd83ce4898c8e68ac6bc55c80404f816dda",
+        "ac6f1d0c84bcac03b81072b6b43b83cd38bb33086bcd532f9451fed9e357a8c5"),
+    ((8, 8), 1014863): (
+        "9a1a314541611596fc3288995f3150c784b5e27d653a35e930e0663cfeb5beb0",
+        "b08b95ad0433b39dcf79ddb6638b4c4a2dec94b0c0a51560bf1e7b2df26c365f",
+        "e30239de1412c1dd83280fa7a60886e5142da3c5d2a7da3962cee6b369cc5b69"),
+}
+
+
+@pytest.mark.parametrize("grid,seed", sorted(_PAIR_DIGESTS))
+def test_pair_bytes_are_pinned(grid, seed):
+    p = generate_pair(seed, grid=grid)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (p.source.data, p.target.data, p.gt_flow(grid).grid.data))
+    assert got == _PAIR_DIGESTS[grid, seed]

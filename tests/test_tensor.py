@@ -232,6 +232,22 @@ def test_determinism_bit_identical():
     assert run() == run()
 
 
-@pytest.mark.parametrize("op", ["matmul", "softmax", "layer_norm", "gelu", "l2norm_last"])
+def _numpy_attention(q, k, v):
+    logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_attention_matches_numpy(lead):
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.normal(size=lead + s) for s in ((5, 4), (6, 4), (6, 3)))
+    got = T.attention(*(T.Tensor(a, dtype=np.float64) for a in (q, k, v)))
+    assert got.shape == lead + (5, 3)
+    np.testing.assert_allclose(got.data, _numpy_attention(q, k, v), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ["matmul", "softmax", "attention", "layer_norm", "gelu",
+                                "l2norm_last"])
 def test_gradcheck_core_ops(op):
     assert check_op(op, seeds=5) < 1e-4
