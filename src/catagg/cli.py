@@ -156,6 +156,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    if cfg["threads"] < 1:
+        raise UsageError(f"threads must be at least 1, got {cfg['threads']}")
     _require_file(args.data, "dataset manifest")
     model, opt, rng, meta = _restore(cfg, args.checkpoint)
     pairs = pl.load_pairs(args.data)

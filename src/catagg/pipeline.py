@@ -198,11 +198,18 @@ def _eval_one(model, pair: SyntheticPair, pair_id: int,
 def evaluate(model, pairs: list[SyntheticPair],
              alphas: tuple[float, ...] = (0.05, 0.1, 0.15),
              threads: int = 1) -> EvalReport:
-    """Side-effect-free scoring of every pair; optionally pair-parallel."""
+    """Side-effect-free scoring of every pair; optionally pair-parallel.
+
+    Each of the `threads` workers runs its GEMMs on OpenBLAS's own thread
+    pool too, so with the default BLAS threads `threads > 1` can be slower
+    than serial; set `OPENBLAS_NUM_THREADS=1` when fanning out over pairs.
+    """
     if not pairs:
         raise ArgumentError("no evaluation pairs")
+    if threads < 1:
+        raise ArgumentError(f"threads must be at least 1, got {threads}")
     report = EvalReport(alphas=tuple(alphas))
-    if threads <= 1:
+    if threads == 1:
         report.rows = [_eval_one(model, p, i, report.alphas)
                        for i, p in enumerate(pairs)]
         return report

@@ -338,7 +338,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; batched when both operands carry equal leading dims,
-    or when b is a 2-D shared weight."""
+    or when b is a 2-D shared weight.
+
+    With a shared weight, a's leading axes fold into one row axis, so the
+    forward and both gradients each run as a single 2-D GEMM instead of one
+    small GEMM per leading index.
+    """
     _check_same_dtype(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul requires rank >= 2 operands")
@@ -348,17 +353,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: batch ranks {a.shape} x {b.shape}")
     if a.ndim == b.ndim and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul: batch extents {a.shape} x {b.shape}")
-    out = a.data @ b.data
     ad, bd = a.data, b.data
+    if bd.ndim == 2 and ad.ndim > 2:
+        rows, (k, n) = math.prod(ad.shape[:-1]), bd.shape
+        # a fresh buffer, so the output owns its memory and MEM counts it
+        out = np.empty(ad.shape[:-1] + (n,), dtype=ad.dtype)
+        np.matmul(ad.reshape(rows, k), bd, out=out.reshape(rows, n))
 
-    def vjp(g):
-        ga = g @ bd.swapaxes(-1, -2)
-        if bd.ndim == 2 and ad.ndim > 2:
-            k = ad.shape[-1]
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = ad.swapaxes(-1, -2) @ g
-        return ga, gb
+        def vjp(g):
+            g2 = g.reshape(rows, n)  # copies when g arrives as a view
+            return (g2 @ bd.T).reshape(ad.shape), ad.reshape(rows, k).T @ g2
+    else:
+        out = ad @ bd
+
+        def vjp(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _make(out, "matmul", (a, b), vjp)
 

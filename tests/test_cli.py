@@ -11,7 +11,6 @@ from catagg import pipeline as pl
 from catagg.cli import main
 from catagg.flow import (FlowField, pck, read_keypoints, transfer_keypoints,
                          write_keypoints)
-from catagg.synth import generate_pair
 from catagg.tensor import Tensor
 from catagg.tensor_io import load_tensor
 
@@ -220,3 +219,20 @@ class TestThreads:
         strip = lambda p: [l for l in open(p).read().splitlines()
                            if not l.startswith("#")]
         assert strip(rep1) == strip(rep2)
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_thread_count_below_one_usage_error(self, workdir, tmp_path,
+                                                monkeypatch, capsys, via):
+        rep = tmp_path / "r.txt"
+        args = ["eval", "--data", workdir["data"], "--checkpoint",
+                workdir["ck"], "--report", str(rep), *CATSPP]
+        if via == "flag":
+            args += ["--threads", "0"]
+        else:
+            monkeypatch.setenv("CATAGG_THREADS", "0")
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(r"^usage error: .*threads", err, re.M)
+        assert "Traceback" not in err
+        assert not rep.exists()

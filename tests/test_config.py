@@ -1,6 +1,5 @@
 """Run configuration: defaults, file parsing, overrides, typed views."""
 
-import numpy as np
 import pytest
 
 from catagg.config import DEFAULTS, RunConfig

@@ -1,0 +1,38 @@
+"""Every module under src/ and tests/ uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    unused = {}
+    for path in files:
+        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

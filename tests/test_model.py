@@ -6,10 +6,10 @@ import pytest
 from catagg import tensor as tt
 from catagg.cats import CatsConfig
 from catagg.catspp import EfficientConfig, EmbedConfig
-from catagg.errors import ArgumentError, DimensionError
-from catagg.flow import hard_argmax_flow, soft_argmax_flow
-from catagg.model import (BACKBONE_CHANNELS, CatsModel, CatsPPModel,
-                          ToyBackbone, _patch_merge, raw_correlation_mean)
+from catagg.errors import DimensionError
+from catagg.flow import soft_argmax_flow
+from catagg.model import (CatsModel, CatsPPModel, ToyBackbone, _patch_merge,
+                          raw_correlation_mean)
 from catagg.params import ParamStore
 from catagg.synth import generate_pair
 from catagg.tensor import Tensor

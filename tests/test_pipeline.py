@@ -1,8 +1,6 @@
 """Training loop, evaluation reports, dataset files, and checkpoints."""
 
 import hashlib
-import json
-import os
 import re
 
 import numpy as np
@@ -195,6 +193,12 @@ class TestEvaluate:
         store, model = _build()
         with pytest.raises(ArgumentError):
             pl.evaluate(model, [])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        store, model = _build()
+        with pytest.raises(ArgumentError, match="threads"):
+            pl.evaluate(model, _pairs(1), threads=threads)
 
     def test_metrics_recompute_from_flows(self):
         # report values must be reproducible from the flow fields alone

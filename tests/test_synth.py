@@ -7,9 +7,8 @@ import pytest
 import scipy.ndimage as ndi
 
 from catagg.errors import ArgumentError
-from catagg.synth import (IMAGE_SIZE, SyntheticPair, affine_gt_flow,
-                          generate_pair, random_affine, smooth_image,
-                          warp_image)
+from catagg.synth import (affine_gt_flow, generate_pair, random_affine,
+                          smooth_image, warp_image)
 
 
 def _translation_warp(tx, ty):

@@ -40,6 +40,27 @@ def test_matmul_shape_error():
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
 
 
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_matmul_shared_weight_folds_leading_axes(lead):
+    # a rank-3/4 operand times a 2-D weight, followed by a transpose, as in
+    # cats._mha: the upstream gradient reaches matmul as a non-contiguous view
+    rng = np.random.default_rng(3)
+    av, wv = rng.normal(size=lead + (4, 6)), rng.normal(size=(6, 7))
+    swap = tuple(range(len(lead))) + (len(lead) + 1, len(lead))
+    c = rng.normal(size=lead + (7, 4))
+    a = T.Tensor(av, dtype=np.float64, requires_grad=True)
+    w = T.Tensor(wv, dtype=np.float64, requires_grad=True)
+    y = T.matmul(a, w)
+    assert y.data.base is None  # owns its buffer, so MEM counts it
+    T.backward(T.tsum(T.mul(T.transpose(y, swap), T.Tensor(c, dtype=np.float64))))
+    g = np.swapaxes(c, -1, -2)
+    rows = "rst"[:len(lead) + 1]  # einsum sums only named axes out of its output
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y.data, np.einsum("...k,kn->...n", av, wv), **tol)
+    np.testing.assert_allclose(a.grad, np.einsum("...n,kn->...k", g, wv), **tol)
+    np.testing.assert_allclose(w.grad, np.einsum(f"{rows}k,{rows}n->kn", av, g), **tol)
+
+
 def test_softmax_symmetry():
     out = T.softmax(T.Tensor([0.0, 0.0]), axis=-1)
     np.testing.assert_allclose(out.data, [0.5, 0.5])
