@@ -15,7 +15,9 @@ import time
 import numpy as np
 
 from . import tensor as tt
-from .catspp import CatsPPAggregator
+from .catspp import CATSPP_PREFIX, CatsPPAggregator
+from .correlation import FeatureMap
+from .flow import aepe
 from .model import CatsPPModel
 from .params import ParamStore
 from .tensor import MEM, Tensor
@@ -47,8 +49,8 @@ def matched_dims(agg: CatsPPAggregator, q: int) -> tuple[int, int]:
 
 def efficient_block_params(agg: CatsPPAggregator, q: int) -> int:
     """One encoder's learnables plus the layer's positional table."""
-    per_enc = agg.store.n_params(f"{agg.prefix}.q{q}.enc0")
-    pos = agg.store[f"{agg.prefix}.q{q}.pos"].size
+    per_enc = agg.store.n_params(f"{CATSPP_PREFIX}.q{q}.enc0")
+    pos = agg.store[f"{CATSPP_PREFIX}.q{q}.pos"].size
     return per_enc + pos
 
 
@@ -110,7 +112,7 @@ def peak_forward_bytes(fn) -> int:
     return peak - base
 
 
-def compare_blocks(model: CatsPPModel, q: int, seed: int = 0) -> dict:
+def compare_blocks(model: CatsPPModel, q: int) -> dict:
     """Params and peak forward bytes: efficient encoder vs standard block."""
     agg = model.agg
     tokens, feat = matched_dims(agg, q)
@@ -118,15 +120,14 @@ def compare_blocks(model: CatsPPModel, q: int, seed: int = 0) -> dict:
     hs, ws, ht, wt = spec.embedded(agg.embed_cfg)
     d = agg.embed_cfg.d
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     m = Tensor(rng.normal(size=(hs, ws, ht, wt, d)).astype(np.float32))
     # appearance source: the layer's native target-side feature map
-    from .correlation import FeatureMap
     n = spec.extents[2]
     fmap = FeatureMap(level=0, layer=q, grid=Tensor(
         rng.normal(size=(n, n, spec.app_channels)).astype(np.float32)))
 
-    std_store = ParamStore(rng=np.random.default_rng(seed), dtype=np.float32)
+    std_store = ParamStore(rng=np.random.default_rng(0), dtype=np.float32)
     std = StandardBlock(std_store, tokens, feat)
     x = Tensor(rng.normal(size=(tokens, feat)).astype(np.float32))
 
@@ -147,25 +148,22 @@ def compare_blocks(model: CatsPPModel, q: int, seed: int = 0) -> dict:
     }
 
 
-def time_model(model, pair, repeats: int = 1) -> dict:
+def time_model(model, pair) -> dict:
     """Wall time for one forward and one forward+backward, in milliseconds."""
     with tt.no_grad():
         model.flow(pair.source, pair.target)  # warm any lazy setup
     t0 = time.perf_counter()
-    for _ in range(repeats):
-        with tt.no_grad():
-            model.flow(pair.source, pair.target)
-    fwd = (time.perf_counter() - t0) / repeats
+    with tt.no_grad():
+        model.flow(pair.source, pair.target)
+    fwd = time.perf_counter() - t0
 
     gt = pair.gt_flow(model.flow_grid, dtype=model.store.dtype)
-    from .flow import aepe
     t0 = time.perf_counter()
-    for _ in range(repeats):
-        pred = model.flow(pair.source, pair.target)
-        loss = aepe(pred, gt)
-        model.store.zero_grad()
-        tt.backward(loss)
-    both = (time.perf_counter() - t0) / repeats
+    pred = model.flow(pair.source, pair.target)
+    loss = aepe(pred, gt)
+    model.store.zero_grad()
+    tt.backward(loss)
+    both = time.perf_counter() - t0
     return {"forward_ms": fwd * 1e3, "forward_backward_ms": both * 1e3}
 
 

@@ -21,6 +21,7 @@ from .tensor import Tensor
 __all__ = ["CatsConfig", "CatsAggregator"]
 
 MODES = ("serial", "parallel", "both")
+CATS_PREFIX = "cats"  # parameter-name prefix of every aggregator parameter
 
 
 @dataclass
@@ -28,7 +29,7 @@ class CatsConfig:
     grid: tuple[int, int] = (16, 16)
     n_encoders: int = 1
     n_heads: int = 8
-    p: int = 128
+    p: int = 32
     ffn_ratio: int = 4
     mode: str = "serial"
 
@@ -56,24 +57,23 @@ class CatsAggregator:
     """Owns the aggregator parameters and runs the swapped two-pass forward."""
 
     def __init__(self, cfg: CatsConfig, store: ParamStore,
-                 feat_channels: list[int], prefix: str = "cats"):
+                 feat_channels: list[int]):
         cfg.validate()
         if not feat_channels:
             raise ArgumentError("feat_channels must list one channel count per level")
         self.cfg = cfg
         self.store = store
-        self.prefix = prefix
         self.n_levels = len(feat_channels)
         f = cfg.feat
         hw = cfg.hw
 
         for l, c in enumerate(feat_channels):
-            store.add(f"{prefix}.appear{l}.w", (c, cfg.p))
-            store.add(f"{prefix}.appear{l}.b", (cfg.p,), init="zeros")
-        store.add(f"{prefix}.pos", (hw, f), init="zeros")
+            store.add(f"{CATS_PREFIX}.appear{l}.w", (c, cfg.p))
+            store.add(f"{CATS_PREFIX}.appear{l}.b", (cfg.p,), init="zeros")
+        store.add(f"{CATS_PREFIX}.pos", (hw, f), init="zeros")
         for e in range(cfg.n_encoders):
             for kind in ("intra", "inter"):
-                base = f"{prefix}.enc{e}.{kind}"
+                base = f"{CATS_PREFIX}.enc{e}.{kind}"
                 for nm in ("wq", "wk", "wv", "wo"):
                     store.add(f"{base}.{nm}", (f, f))
                 for nm in ("bq", "bk", "bv", "bo"):
@@ -87,11 +87,11 @@ class CatsAggregator:
                 store.add(f"{base}.ffn_w2", (cfg.ffn_ratio * f, f))
                 store.add(f"{base}.ffn_b2", (f,), init="zeros")
         # zero start: the aggregator begins as the identity on C
-        store.add(f"{prefix}.restore.w", (self.n_levels, f, hw), init="zeros")
-        store.add(f"{prefix}.restore.b", (self.n_levels, 1, hw), init="zeros")
+        store.add(f"{CATS_PREFIX}.restore.w", (self.n_levels, f, hw), init="zeros")
+        store.add(f"{CATS_PREFIX}.restore.b", (self.n_levels, 1, hw), init="zeros")
 
     def _p(self, name: str) -> Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        return self.store[f"{CATS_PREFIX}.{name}"]
 
     def zero_output_projections(self):
         """Zero every path that writes into a residual sum (identity mode)."""

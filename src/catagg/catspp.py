@@ -24,6 +24,8 @@ from .volume_ops import conv4d, upsample4d_bilinear
 
 __all__ = ["EmbedConfig", "EfficientConfig", "LayerSpec", "CatsPPAggregator"]
 
+CATSPP_PREFIX = "catspp"  # parameter-name prefix of every aggregator parameter
+
 
 def _ceil_div(n: int, s: int) -> int:
     return -(-n // s)
@@ -33,17 +35,17 @@ def _ceil_div(n: int, s: int) -> int:
 class EmbedConfig:
     kernel: int = 3
     stride: int = 2
-    d: int = 16
+    d: int = 8
     n_stages: int = 1
 
 
 @dataclass
 class EfficientConfig:
     s: int = 2            # Q/K source-pair reduction stride
-    a: int = 128          # attention feature extent
+    a: int = 32           # attention feature extent
     r: int = 2            # FFN channel expansion
     n_encoders: int = 1
-    p: int = 32           # appearance embedding extent
+    p: int = 16           # appearance embedding extent
     proj_kernel: int = 3  # Q/K/V convolutional projection kernel
     ffn_kernel: int = 3
 
@@ -68,7 +70,7 @@ class CatsPPAggregator:
     """Owns per-layer parameters and runs the coarse-to-fine aggregation."""
 
     def __init__(self, embed_cfg: EmbedConfig, eff_cfg: EfficientConfig,
-                 store: ParamStore, layers: list[LayerSpec], prefix: str = "catspp"):
+                 store: ParamStore, layers: list[LayerSpec]):
         if not layers:
             raise ArgumentError("need at least one pyramid layer")
         if eff_cfg.n_encoders < 1:
@@ -76,7 +78,6 @@ class CatsPPAggregator:
         self.embed_cfg = embed_cfg
         self.eff = eff_cfg
         self.store = store
-        self.prefix = prefix
         self.layers = sorted(layers, key=lambda ls: ls.q, reverse=True)
         for ls in self.layers:
             if min(ls.extents) < embed_cfg.kernel:
@@ -94,7 +95,7 @@ class CatsPPAggregator:
         m, d = self.embed_cfg.kernel, self.embed_cfg.d
         kp, kf = self.eff.proj_kernel, self.eff.ffn_kernel
         a, r, p, s = self.eff.a, self.eff.r, self.eff.p, self.eff.s
-        base = f"{self.prefix}.q{ls.q}"
+        base = f"{CATSPP_PREFIX}.q{ls.q}"
         cin = ls.n_levels
         for i in range(self.embed_cfg.n_stages):
             st.add(f"{base}.embed{i}.k", (m, m, m, m, cin, d))
@@ -127,7 +128,7 @@ class CatsPPAggregator:
             st.add(f"{eb}.f2.b", (d,), init="zeros")
 
     def _p(self, name: str) -> Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        return self.store[f"{CATSPP_PREFIX}.{name}"]
 
     def spec_for(self, q: int) -> LayerSpec:
         for ls in self.layers:

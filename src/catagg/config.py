@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from .cats import CatsConfig
+from .cats import MODES, CatsConfig
 from .catspp import EfficientConfig, EmbedConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .model import CatsModel, CatsPPModel
 from .params import ParamStore
 from .pipeline import TrainConfig
@@ -61,17 +61,14 @@ DEFAULTS: dict[str, object] = {
     "train.stop_below": 0.0,      # early-stop loss threshold; 0 disables
 }
 
-_CHOICES = {"model": ("cats", "catspp"), "mode": ("serial", "parallel", "both")}
+_CHOICES = {"model": ("cats", "catspp"), "mode": MODES}
+_NON_NEGATIVE = ("seed", "train.steps")  # every other integer key is >= 1
 
 
 def _coerce(key: str, raw: str):
     """Parse `raw` with the type of the key's default."""
     default = DEFAULTS[key]
     text = raw.strip()
-    if isinstance(default, bool):
-        if text not in ("true", "false"):
-            raise ConfigError(f"{key}: expected true|false, got '{text}'")
-        return text == "true"
     if isinstance(default, int):
         try:
             return int(text)
@@ -82,9 +79,6 @@ def _coerce(key: str, raw: str):
             return float(text)
         except ValueError:
             raise ConfigError(f"{key}: expected number, got '{text}'") from None
-    if key in _CHOICES and text not in _CHOICES[key]:
-        raise ConfigError(
-            f"{key}: expected one of {_CHOICES[key]}, got '{text}'")
     return text
 
 
@@ -102,16 +96,15 @@ class RunConfig:
         if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
-            with open(path) as fh:
-                for ln, raw in enumerate(fh, 1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(
-                            f"{path}:{ln}: expected 'key = value', got '{line}'")
-                    key, _, val = line.partition("=")
-                    cfg.set(key.strip(), val.strip())
+            for ln, raw in enumerate(read_lines(path, ConfigError), 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(
+                        f"{path}:{ln}: expected 'key = value', got '{line}'")
+                key, _, val = line.partition("=")
+                cfg.set(key.strip(), val.strip())
         for item in sets or []:
             if "=" not in item:
                 raise ConfigError(f"--set needs key=value, got '{item}'")
@@ -131,6 +124,10 @@ class RunConfig:
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ConfigError(
                 f"{key}: expected one of {_CHOICES[key]}, got '{value}'")
+        if isinstance(value, int):
+            low = 0 if key in _NON_NEGATIVE else 1
+            if value < low:
+                raise ConfigError(f"{key}: must be >= {low}, got {value}")
         self._values[key] = value
 
     def __getitem__(self, key: str):
@@ -192,7 +189,6 @@ class RunConfig:
                               p=self["cats.p"],
                               ffn_ratio=self["cats.ffn_ratio"],
                               mode=self["mode"])
-            cats.validate()
             return CatsModel(store, cats, layers=self.layers(),
                              beta=self["beta"])
         embed = EmbedConfig(kernel=self["catspp.embed.kernel"],

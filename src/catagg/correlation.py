@@ -8,19 +8,17 @@ pyramid layer on a trailing channel axis.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError
 from .tensor import Tensor
-from .tensor_io import load_tensor
 from .volume_ops import resize_bilinear2d
 
 __all__ = [
     "FeatureMap", "CorrelationStack", "Hypercorrelation",
     "cosine_correlation", "build_stack", "build_hypercorrelation",
-    "swap", "resize_features", "load_feature_manifest",
+    "swap", "resize_features",
 ]
 
 SOURCE = "source"
@@ -180,26 +178,3 @@ def swap(c: CorrelationStack | Hypercorrelation):
             vol=tt.transpose(c.vol, (2, 3, 0, 1, 4)), layer=c.layer, levels=c.levels)
     raise ArgumentError(f"swap: unsupported type {type(c).__name__}")
 
-
-def load_feature_manifest(path) -> list[FeatureMap]:
-    """Read `level=<l> layer=<q> file=<path>` lines; paths resolve near the manifest."""
-    base = os.path.dirname(os.path.abspath(path))
-    out = []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-            try:
-                level = int(fields["level"])
-                layer = int(fields["layer"])
-                fname = fields["file"]
-            except KeyError as e:
-                raise ArgumentError(f"{path}:{ln}: missing {e.args[0]}=") from None
-            fpath = fname if os.path.isabs(fname) else os.path.join(base, fname)
-            out.append(FeatureMap(level=level, layer=layer,
-                                  grid=Tensor(load_tensor(fpath))))
-    if not out:
-        raise ArgumentError(f"{path}: no feature entries")
-    return out

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the text-file reader
+that turns undecodable input into one of these errors."""
 
 
 class CatAggError(Exception):
@@ -31,3 +32,12 @@ class CheckpointError(CatAggError, RuntimeError):
 
 class UsageError(CatAggError, ValueError):
     """Bad command-line usage; mapped to exit code 2 by the CLI."""
+
+
+def read_lines(path, error: type[CatAggError]) -> list[str]:
+    """Lines of a UTF-8 text file; bytes that do not decode raise `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path} is not UTF-8 text (byte {e.start})") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ArgumentError, DimensionError, NumericError
+from .errors import ArgumentError, DimensionError, NumericError, read_lines
 from .tensor import Tensor
 from .volume_ops import _linear_taps
 
@@ -159,13 +159,8 @@ def aepe(pred: FlowField, gt: FlowField) -> Tensor:
     return tt.tmean(tt.l2norm_last(tt.sub(pred.grid, gt.grid)))
 
 
-def pck(pred: KeypointSet, gt: KeypointSet, alpha: float = 0.1,
-        basis: str = "img") -> float:
-    """Fraction of keypoints within alpha * max extent of their annotation.
-
-    basis "img" uses the image extents; basis "bbox" uses the bounding box
-    of the reference keypoints.
-    """
+def pck(pred: KeypointSet, gt: KeypointSet, alpha: float = 0.1) -> float:
+    """Fraction of keypoints within alpha * max image extent of their annotation."""
     if alpha <= 0:
         raise ArgumentError(f"alpha must be positive, got {alpha}")
     if len(pred) != len(gt):
@@ -173,15 +168,7 @@ def pck(pred: KeypointSet, gt: KeypointSet, alpha: float = 0.1,
             f"keypoint count mismatch {len(pred)} vs {len(gt)}")
     if len(gt) == 0:
         raise ArgumentError("empty keypoint sets")
-    if basis == "img":
-        ref = float(max(gt.extents))
-    elif basis == "bbox":
-        span = gt.points.max(axis=0) - gt.points.min(axis=0)
-        ref = float(max(span[0], span[1]))
-        if ref <= 0:
-            raise ArgumentError("degenerate bounding box")
-    else:
-        raise ArgumentError(f"unknown basis {basis!r}")
+    ref = float(max(gt.extents))
     d = np.sqrt(((pred.points - gt.points) ** 2).sum(axis=1))
     return float((d <= alpha * ref).mean())
 
@@ -197,8 +184,7 @@ def write_keypoints(path, kps: KeypointSet):
 
 
 def read_keypoints(path) -> KeypointSet:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+    raw = [ln.strip() for ln in read_lines(path, ArgumentError) if ln.strip()]
     if not raw:
         raise ArgumentError(f"empty keypoint file {path}")
     head = raw[0].split()

@@ -10,8 +10,9 @@ on the same grid for comparison.
 from __future__ import annotations
 
 from . import tensor as tt
-from .cats import CatsAggregator, CatsConfig
-from .catspp import CatsPPAggregator, EfficientConfig, EmbedConfig, LayerSpec
+from .cats import CATS_PREFIX, CatsAggregator, CatsConfig
+from .catspp import (CATSPP_PREFIX, CatsPPAggregator, EfficientConfig,
+                     EmbedConfig, LayerSpec)
 from .correlation import FeatureMap, build_hypercorrelation, build_stack
 from .errors import ArgumentError, DimensionError
 from .flow import FlowField, hard_argmax_flow, soft_argmax_flow
@@ -23,6 +24,7 @@ __all__ = ["ToyBackbone", "CatsModel", "CatsPPModel", "raw_correlation_mean",
 
 BACKBONE_STRIDES = {3: 4, 4: 8, 5: 16}
 BACKBONE_CHANNELS = (16, 24, 32)
+BACKBONE_PREFIX = "backbone"
 
 
 def _patch_merge(x: Tensor, k: int) -> Tensor:
@@ -38,23 +40,19 @@ def _patch_merge(x: Tensor, k: int) -> Tensor:
 class ToyBackbone:
     """Three patch-merge stages, two maps per pyramid layer, zero-bias init."""
 
-    def __init__(self, store: ParamStore, channels=BACKBONE_CHANNELS,
-                 in_channels: int = 3, prefix: str = "backbone"):
-        if len(channels) != 3:
-            raise ArgumentError(f"need one channel count per layer, got {channels}")
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.prefix = prefix
-        self.channels = tuple(channels)
-        cin = in_channels
-        for q, c, k in zip((3, 4, 5), channels, (4, 2, 2)):
-            store.add(f"{prefix}.stage{q}.patch.w", (k * k * cin, c))
-            store.add(f"{prefix}.stage{q}.patch.b", (c,), init="zeros")
-            store.add(f"{prefix}.stage{q}.mix.w", (c, c))
-            store.add(f"{prefix}.stage{q}.mix.b", (c,), init="zeros")
+        cin = 3
+        for q, c, k in zip((3, 4, 5), BACKBONE_CHANNELS, (4, 2, 2)):
+            base = f"{BACKBONE_PREFIX}.stage{q}"
+            store.add(f"{base}.patch.w", (k * k * cin, c))
+            store.add(f"{base}.patch.b", (c,), init="zeros")
+            store.add(f"{base}.mix.w", (c, c))
+            store.add(f"{base}.mix.b", (c,), init="zeros")
             cin = c
 
     def _p(self, name: str) -> Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        return self.store[f"{BACKBONE_PREFIX}.{name}"]
 
     def forward(self, image: Tensor) -> list[FeatureMap]:
         """[H, W, 3] image-like tensor -> six feature maps, levels 0..5."""
@@ -102,13 +100,13 @@ class CatsModel:
     """Backbone + stack aggregation + soft-argmax on a fixed working grid."""
 
     def __init__(self, store: ParamStore, cfg: CatsConfig, layers=(4, 5),
-                 channels=BACKBONE_CHANNELS, beta: float = 20.0):
-        self.backbone = ToyBackbone(store, channels)
+                 beta: float = 20.0):
+        self.backbone = ToyBackbone(store)
         self.layers = tuple(layers)
         self.cfg = cfg
         self.beta = beta
         self.store = store
-        feat_channels = [c for q, c in zip((3, 4, 5), channels)
+        feat_channels = [c for q, c in zip((3, 4, 5), BACKBONE_CHANNELS)
                          if q in self.layers for _ in range(2)]
         self.agg = CatsAggregator(cfg, store, feat_channels)
 
@@ -118,7 +116,7 @@ class CatsModel:
 
     @property
     def lr_prefixes(self) -> tuple[str, str]:
-        return ("cats.", "backbone.")
+        return (f"{CATS_PREFIX}.", f"{BACKBONE_PREFIX}.")
 
     def features(self, image: Tensor) -> list[FeatureMap]:
         return _select(self.backbone.forward(image), self.layers)
@@ -143,14 +141,13 @@ class CatsPPModel:
 
     def __init__(self, store: ParamStore, embed_cfg: EmbedConfig,
                  eff_cfg: EfficientConfig, layers=(4, 5),
-                 channels=BACKBONE_CHANNELS, image_size: int = 128,
-                 beta: float = 20.0):
-        self.backbone = ToyBackbone(store, channels)
+                 image_size: int = 128, beta: float = 20.0):
+        self.backbone = ToyBackbone(store)
         self.layers = tuple(sorted(layers))
         self.beta = beta
         self.store = store
         self.image_size = image_size
-        by_layer = dict(zip((3, 4, 5), channels))
+        by_layer = dict(zip((3, 4, 5), BACKBONE_CHANNELS))
         specs = []
         for q in self.layers:
             n = image_size // BACKBONE_STRIDES[q]
@@ -166,7 +163,7 @@ class CatsPPModel:
 
     @property
     def lr_prefixes(self) -> tuple[str, str]:
-        return ("catspp.", "backbone.")
+        return (f"{CATSPP_PREFIX}.", f"{BACKBONE_PREFIX}.")
 
     def features(self, image: Tensor) -> list[FeatureMap]:
         if image.shape[:2] != (self.image_size, self.image_size):

@@ -16,26 +16,24 @@ from .params import ParamStore
 __all__ = ["AdamW", "cosine_lr"]
 
 
-def cosine_lr(base: float, step: int, total: int, floor: float = 0.1) -> float:
-    """Decay from base to floor*base along a half cosine over `total` steps."""
+def cosine_lr(base: float, step: int, total: int) -> float:
+    """Decay from base to 0.1*base along a half cosine over `total` steps."""
     if total <= 0:
         return base
     t = min(max(step, 0), total) / total
-    return base * (floor + (1.0 - floor) * 0.5 * (1.0 + np.cos(np.pi * t)))
+    return base * (0.1 + 0.9 * 0.5 * (1.0 + np.cos(np.pi * t)))
 
 
 class AdamW:
     """Moment estimates per parameter, decoupled weight decay, grouped LRs."""
 
     def __init__(self, store: ParamStore, groups: list[tuple[str, float]],
-                 total_steps: int, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.05):
+                 total_steps: int, weight_decay: float = 0.05):
         if not groups:
             raise ArgumentError("need at least one (prefix, lr) group")
         self.store = store
         self.groups = list(groups)
         self.total_steps = int(total_steps)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
@@ -58,7 +56,7 @@ class AdamW:
         """One update from the gradients currently held by the store."""
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
         for name, p in self.store.items():
@@ -72,7 +70,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data[...] = p.data - lr * update

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tt
-from .errors import ArgumentError, CheckpointError, NumericError
+from .errors import ArgumentError, CheckpointError, NumericError, read_lines
 from .flow import (FlowField, KeypointSet, aepe, pck, transfer_keypoints)
 from .optim import AdamW
 from .params import ParamStore
@@ -33,7 +33,6 @@ __all__ = ["TrainConfig", "make_optimizer", "train_step", "train", "evaluate",
            "DatasetEntry"]
 
 CHECKPOINT_VERSION = 1
-KEYPOINT_LATTICE = 5  # evaluation reads a fixed interior lattice per pair
 
 
 @dataclass
@@ -121,9 +120,10 @@ def train(model, opt: AdamW, pairs: list[SyntheticPair], cfg: TrainConfig,
 # evaluation
 
 
-def eval_keypoints(extents: tuple[int, int], n: int = KEYPOINT_LATTICE) -> KeypointSet:
-    """Fixed n x n interior pixel lattice used by every evaluation."""
+def eval_keypoints(extents: tuple[int, int]) -> KeypointSet:
+    """Fixed 5 x 5 interior pixel lattice used by every evaluation."""
     h, w = extents
+    n = 5
     ys = (np.arange(1, n + 1) / (n + 1)) * h
     xs = (np.arange(1, n + 1) / (n + 1)) * w
     gy, gx = np.meshgrid(ys, xs, indexing="ij")
@@ -191,8 +191,8 @@ def _eval_one(model, pair: SyntheticPair, pair_id: int,
     return PairResult(
         pair_id=pair_id,
         aepe=err,
-        pck={a: pck(pred_kp, gt_kp, alpha=a, basis="img") for a in alphas},
-        wta_pck={a: pck(wta_kp, gt_kp, alpha=a, basis="img") for a in alphas})
+        pck={a: pck(pred_kp, gt_kp, alpha=a) for a in alphas},
+        wta_pck={a: pck(wta_kp, gt_kp, alpha=a) for a in alphas})
 
 
 def evaluate(model, pairs: list[SyntheticPair],
@@ -279,46 +279,45 @@ def read_manifest(path) -> tuple[dict, list[DatasetEntry]]:
     echo: dict[str, str] = {}
     entries: list[DatasetEntry] = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    echo[k.strip()] = v.strip()
-                continue
-            where = f"manifest {path} line {lineno}"
-            tokens = line.split()
-            bad = [tok for tok in tokens if "=" not in tok]
-            if bad:
-                raise ArgumentError(f"{where}: token {bad[0]!r} is not key=value")
-            fields = dict(tok.split("=", 1) for tok in tokens)
-            missing = {"src", "tgt", "flow", "seed"} - set(fields)
-            if missing:
-                raise ArgumentError(f"{where}: missing {sorted(missing)}: {line!r}")
-            try:
-                seed = int(fields["seed"])
-            except ValueError:
-                raise ArgumentError(
-                    f"{where}: seed {fields['seed']!r} is not an integer") from None
-            entries.append(DatasetEntry(
-                src=os.path.join(base, fields["src"]),
-                tgt=os.path.join(base, fields["tgt"]),
-                flow=os.path.join(base, fields["flow"]),
-                seed=seed))
+    for lineno, raw in enumerate(read_lines(path, ArgumentError), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                k, _, v = body.partition("=")
+                echo[k.strip()] = v.strip()
+            continue
+        where = f"manifest {path} line {lineno}"
+        tokens = line.split()
+        bad = [tok for tok in tokens if "=" not in tok]
+        if bad:
+            raise ArgumentError(f"{where}: token {bad[0]!r} is not key=value")
+        fields = dict(tok.split("=", 1) for tok in tokens)
+        missing = {"src", "tgt", "flow", "seed"} - set(fields)
+        if missing:
+            raise ArgumentError(f"{where}: missing {sorted(missing)}: {line!r}")
+        try:
+            seed = int(fields["seed"])
+        except ValueError:
+            raise ArgumentError(
+                f"{where}: seed {fields['seed']!r} is not an integer") from None
+        entries.append(DatasetEntry(
+            src=os.path.join(base, fields["src"]),
+            tgt=os.path.join(base, fields["tgt"]),
+            flow=os.path.join(base, fields["flow"]),
+            seed=seed))
     if not entries:
         raise ArgumentError(f"manifest {path} lists no pairs")
     return echo, entries
 
 
-def load_pairs(path, verify: bool = True) -> list[SyntheticPair]:
+def load_pairs(path) -> list[SyntheticPair]:
     """Regenerate every pair from its seed using the manifest's echoed config.
 
     The tensor files exist for external consumers; seeds plus the echoed
-    generation settings reproduce them bit-exactly, which `verify` spot-checks
+    generation settings reproduce them bit-exactly, which is spot-checked
     on the first pair's stored flow.
     """
     echo, entries = read_manifest(path)
@@ -330,13 +329,12 @@ def load_pairs(path, verify: bool = True) -> list[SyntheticPair]:
         raise ArgumentError(f"manifest {path} lacks generation echo {e}") from e
     pairs = [generate_pair(en.seed, grid=grid, warp_magnitude=magnitude,
                            size=size) for en in entries]
-    if verify:
-        stored = load_tensor(entries[0].flow)
-        analytic = pairs[0].gt_flow(grid).grid.data
-        if not np.array_equal(stored, analytic):
-            raise CheckpointError(
-                f"{entries[0].flow} disagrees with regeneration from seed "
-                f"{entries[0].seed}; manifest echo out of date?")
+    stored = load_tensor(entries[0].flow)
+    analytic = pairs[0].gt_flow(grid).grid.data
+    if not np.array_equal(stored, analytic):
+        raise CheckpointError(
+            f"{entries[0].flow} disagrees with regeneration from seed "
+            f"{entries[0].seed}; manifest echo out of date?")
     return pairs
 
 

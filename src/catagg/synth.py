@@ -103,17 +103,24 @@ def warp_image(img: np.ndarray, warp: np.ndarray) -> np.ndarray:
     return out.reshape(img.shape).astype(img.dtype)
 
 
+def _cell_centres(warp: np.ndarray, extents: tuple[int, int],
+                  grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """[h*w, 2] pixel positions of `grid`'s cell centres, and their images."""
+    hp, wp = extents
+    h, w = grid
+    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    pts = np.stack([grid_to_pixel(gx.ravel(), wp, w),
+                    grid_to_pixel(gy.ravel(), hp, h)], axis=1)
+    return pts, pts @ warp[:, :2].T + warp[:, 2]
+
+
 def affine_gt_flow(warp: np.ndarray, extents: tuple[int, int],
                    grid: tuple[int, int], dtype=np.float64) -> FlowField:
     """Exact displacement in grid cells at the cell centers of `grid`."""
     hp, wp = extents
     h, w = grid
-    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    px = grid_to_pixel(gx, wp, w)
-    py = grid_to_pixel(gy, hp, h)
-    pts = np.stack([px.ravel(), py.ravel()], axis=1)
-    mapped = pts @ warp[:, :2].T + warp[:, 2]
+    pts, mapped = _cell_centres(warp, extents, grid)
     dx = (mapped[:, 0] - pts[:, 0]) * w / wp
     dy = (mapped[:, 1] - pts[:, 1]) * h / hp
     disp = np.stack([dx, dy], axis=1).reshape(h, w, 2)
@@ -123,12 +130,7 @@ def affine_gt_flow(warp: np.ndarray, extents: tuple[int, int],
 def _inbound_fraction(warp: np.ndarray, extents: tuple[int, int],
                       grid: tuple[int, int]) -> float:
     hp, wp = extents
-    h, w = grid
-    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    pts = np.stack([grid_to_pixel(gx.ravel(), wp, w),
-                    grid_to_pixel(gy.ravel(), hp, h)], axis=1)
-    mapped = pts @ warp[:, :2].T + warp[:, 2]
+    _, mapped = _cell_centres(warp, extents, grid)
     ok = ((mapped[:, 0] >= 0) & (mapped[:, 0] < wp)
           & (mapped[:, 1] >= 0) & (mapped[:, 1] < hp))
     return float(ok.mean())

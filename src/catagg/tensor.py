@@ -427,8 +427,8 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out, "gelu", (x,), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last (feature) axis, then affine with gamma/beta."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last (feature) axis with eps 1e-5, then apply gamma/beta."""
     n = x.shape[-1] if x.ndim else 0
     if n == 0:
         raise DimensionError("layer_norm: empty feature axis")
@@ -439,7 +439,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + dt.type(eps))
+    inv = 1.0 / np.sqrt(var + dt.type(1e-5))
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
     gd = gamma.data

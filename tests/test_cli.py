@@ -170,7 +170,7 @@ class TestInfer:
             gt_flow = FlowField(Tensor(load_tensor(entry.flow)))
             gt_kp = transfer_keypoints(gt_flow, kps)
             moved = read_keypoints(os.path.join(out, f"pred_kp_{i:04d}.txt"))
-            expect = pck(moved, gt_kp, alpha=0.1, basis="img")
+            expect = pck(moved, gt_kp, alpha=0.1)
             fields = dict(tok.split("=", 1) for tok in report_lines[i].split())
             assert float(fields["pck@0.1"]) == pytest.approx(expect, abs=1e-12)
 
@@ -236,3 +236,64 @@ class TestThreads:
         assert re.search(r"^usage error: .*threads", err, re.M)
         assert "Traceback" not in err
         assert not rep.exists()
+
+
+class TestIntegerRange:
+    @pytest.mark.parametrize("setting", [
+        "cats.heads=0", "catspp.s=0", "catspp.embed.stride=0", "catspp.a=0",
+        "catspp.r=0", "seed=-1", "catspp.p=0", "cats.ffn_ratio=0",
+        "grid.h=-1"])
+    def test_out_of_range_integer_usage_error(self, workdir, tmp_path, capsys,
+                                              setting):
+        ck = tmp_path / "ck.catb"
+        model = "cats" if setting.startswith("cats.") else "catspp"
+        code = main(["train", "--data", workdir["data"], "--out", str(ck),
+                     "--set", "train.steps=0", *CATSPP, "--set", f"model={model}",
+                     "--set", setting])
+        err = capsys.readouterr().err
+        assert code == 2
+        key = setting.split("=")[0]
+        assert re.search(rf"^usage error: {re.escape(key)}: must be >= ", err, re.M)
+        assert "Traceback" not in err
+        assert not ck.exists()
+
+
+class TestNonUtf8Input:
+    BAD = "# caf\xe9\n".encode("latin-1")  # 0xe9 alone is not UTF-8
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"beta = 12.5\n" + self.BAD)
+        out = tmp_path / "data"
+        code = main(["gen-data", "--config", str(cfg), "--out", str(out),
+                     "--pairs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(rf"^usage error: .*{re.escape(str(cfg))}.*UTF-8", err, re.M)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_dataset_manifest(self, workdir, tmp_path, capsys):
+        man = tmp_path / "manifest.txt"
+        man.write_bytes(self.BAD + open(workdir["data"], "rb").read())
+        ck = tmp_path / "ck.catb"
+        code = main(["train", "--data", str(man), "--out", str(ck),
+                     "--set", "train.steps=1", *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(rf"^error: .*{re.escape(str(man))}.*UTF-8", err, re.M)
+        assert "Traceback" not in err
+        assert not ck.exists()
+
+    def test_keypoint_file(self, workdir, tmp_path, capsys):
+        kps = tmp_path / "kps.txt"
+        kps.write_bytes(b"128 128\n" + self.BAD + b"10.0 20.0\n")
+        out = tmp_path / "preds"
+        code = main(["infer", "--data", workdir["data"], "--checkpoint",
+                     workdir["ck"], "--out", str(out), "--keypoints", str(kps),
+                     "--set", "train.lr_aggregator=1e-3", *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(rf"^error: .*{re.escape(str(kps))}.*UTF-8", err, re.M)
+        assert "Traceback" not in err
+        assert not out.exists()

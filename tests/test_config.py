@@ -2,9 +2,12 @@
 
 import pytest
 
+from catagg.cats import CatsConfig
+from catagg.catspp import EfficientConfig, EmbedConfig
 from catagg.config import DEFAULTS, RunConfig
 from catagg.errors import ConfigError
 from catagg.model import CatsModel, CatsPPModel
+from catagg.pipeline import TrainConfig
 
 
 class TestResolution:
@@ -127,6 +130,19 @@ class TestTypedViews:
         assert model.flow_grid == (8, 8)
 
     def test_invalid_model_config_surfaces(self):
-        cfg = RunConfig.load(None, sets=["n_encoders=0"])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="n_encoders"):
+            RunConfig.load(None, sets=["n_encoders=0"])
+        # 288-wide tokens do not split over 5 heads; only the model sees that
+        cfg = RunConfig.load(None, sets=["cats.heads=5"])
+        with pytest.raises(ConfigError, match="heads"):
             cfg.build_model()
+
+
+class TestDataclassDefaults:
+    def test_dataclass_defaults_match_config_defaults(self):
+        # every field default equals the value RunConfig() resolves for it
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().build_model().cfg == CatsConfig()
+        agg = RunConfig({"model": "catspp"}).build_model().agg
+        assert agg.embed_cfg == EmbedConfig()
+        assert agg.eff == EfficientConfig()

@@ -9,13 +9,11 @@ from catagg.correlation import (
     build_hypercorrelation,
     build_stack,
     cosine_correlation,
-    load_feature_manifest,
     resize_features,
     swap,
 )
 from catagg.errors import ArgumentError, DimensionError
 from catagg.tensor import Tensor
-from catagg.tensor_io import save_tensor
 
 from oracles import cosine_corr_oracle
 
@@ -192,24 +190,3 @@ def test_correlation_is_differentiable_to_features():
     out = cosine_correlation(a, FeatureMap(0, 3, Tensor(b.grid.data.astype(np.float64))))
     T.backward(T.tsum(out))
     assert g.grad is not None and np.all(np.isfinite(g.grad))
-
-
-def test_feature_manifest_roundtrip(tmp_path):
-    rng = np.random.default_rng(14)
-    grids = [rng.normal(size=(4, 4, 3)).astype(np.float32) for _ in range(2)]
-    lines = []
-    for i, g in enumerate(grids):
-        save_tensor(tmp_path / f"f{i}.catt", g)
-        lines.append(f"level={i} layer={3 + i} file=f{i}.catt")
-    man = tmp_path / "features.txt"
-    man.write_text("\n".join(lines) + "\n")
-    fms = load_feature_manifest(man)
-    assert [(f.level, f.layer) for f in fms] == [(0, 3), (1, 4)]
-    np.testing.assert_array_equal(fms[0].grid.data, grids[0])
-
-
-def test_feature_manifest_missing_field(tmp_path):
-    man = tmp_path / "bad.txt"
-    man.write_text("level=0 file=x.catt\n")
-    with pytest.raises(ArgumentError):
-        load_feature_manifest(man)

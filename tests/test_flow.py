@@ -238,16 +238,7 @@ def test_pck_threshold_arithmetic():
     gt = KeypointSet(np.array([[20.0, 20.0], [60.0, 60.0]]), (100, 100))
     pred = KeypointSet(np.array([[26.0, 20.0], [72.0, 60.0]]), (100, 100))
     # threshold 0.1 * 100 = 10: offsets 6 (in) and 12 (out)
-    assert pck(pred, gt, alpha=0.1, basis="img") == 0.5
-
-
-def test_pck_bbox_basis():
-    gt = KeypointSet(np.array([[40.0, 40.0], [60.0, 40.0], [40.0, 90.0]]),
-                     (200, 200))
-    # bbox spans (20, 50) -> ref 50; alpha 0.2 -> threshold 10
-    pred = KeypointSet(np.array([[49.0, 40.0], [60.0, 52.0], [40.0, 90.0]]),
-                       (200, 200))
-    assert pck(pred, gt, alpha=0.2, basis="bbox") == pytest.approx(2 / 3)
+    assert pck(pred, gt, alpha=0.1) == 0.5
 
 
 def test_pck_monotone_in_alpha():
@@ -279,8 +270,6 @@ def test_pck_errors():
         pck(k2, k3)
     with pytest.raises(ArgumentError):
         pck(k2, k2, alpha=-0.5)
-    with pytest.raises(ArgumentError):
-        pck(k2, k2, basis="object")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ class TestCosineLr:
     def test_endpoints(self):
         assert cosine_lr(1.0, 0, 100) == pytest.approx(1.0)
         assert cosine_lr(1.0, 100, 100) == pytest.approx(0.1)
-        assert cosine_lr(2.0, 100, 100, floor=0.25) == pytest.approx(0.5)
 
     def test_midpoint(self):
         # halfway through, the schedule sits midway between base and floor

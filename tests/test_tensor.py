@@ -106,13 +106,14 @@ def test_layer_norm_constant_slice():
 
 
 def test_layer_norm_already_normalized():
+    # unit variance already: only the fixed eps = 1e-5 rescales the input
     out = T.layer_norm(
         T.Tensor([[1.0, -1.0]], dtype=np.float64),
         T.Tensor(np.ones(2), dtype=np.float64),
         T.Tensor(np.zeros(2), dtype=np.float64),
-        eps=1e-12,
     )
-    np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+    np.testing.assert_allclose(out.data, [[1.0, -1.0]] / np.sqrt(1 + 1e-5),
+                               rtol=1e-12)
 
 
 def test_layer_norm_moments_oracle():
