@@ -23,7 +23,7 @@ from .flow import read_keypoints, transfer_keypoints, write_keypoints
 from .gradcheck import CHECKS, run_all
 from .params import ParamStore
 from .tensor import Tensor
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import atomic_write, load_tensor, save_tensor
 
 __all__ = ["main"]
 
@@ -162,7 +162,7 @@ def cmd_eval(args) -> int:
     report = pl.evaluate(model, pairs, alphas=cfg.alphas(),
                          threads=cfg["threads"])
     text = report.to_text(cfg.echo())
-    with open(args.report, "w") as fh:
+    with atomic_write(args.report, "w") as fh:
         fh.write(text)
     print(text, end="")
     return 0
@@ -192,7 +192,7 @@ def cmd_infer(args) -> int:
             row += f" kps={kp_name}"
         lines.append(row)
     out_manifest = os.path.join(args.out, "infer_manifest.txt")
-    with open(out_manifest, "w") as fh:
+    with atomic_write(out_manifest, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(entries)} flow fields to {args.out}")
     return 0

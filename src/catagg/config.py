@@ -128,6 +128,9 @@ class RunConfig:
             low = 0 if key in _NON_NEGATIVE else 1
             if value < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {value}")
+        if key == "data.size" and value % 16:
+            # the backbone pools by 16 and the generator's coarse field is size/16
+            raise ConfigError(f"{key}: must be a multiple of 16, got {value}")
         self._values[key] = value
 
     def __getitem__(self, key: str):

@@ -15,6 +15,7 @@ import numpy as np
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError, NumericError, read_lines
 from .tensor import Tensor
+from .tensor_io import atomic_write
 from .volume_ops import _linear_taps
 
 __all__ = ["FlowField", "KeypointSet", "soft_argmax_flow", "hard_argmax_flow",
@@ -179,7 +180,7 @@ def write_keypoints(path, kps: KeypointSet):
     lines = [f"{h} {w}"]
     for x, y in kps.points:
         lines.append(f"{float(x)!r} {float(y)!r}")
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

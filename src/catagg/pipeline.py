@@ -11,6 +11,10 @@ run is bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +29,8 @@ from .optim import AdamW
 from .params import ParamStore
 from .synth import SyntheticPair, generate_pair
 from .tensor import Tensor
-from .tensor_io import load_bundle, load_tensor, save_bundle, save_tensor
+from .tensor_io import (atomic_write, load_bundle, load_tensor, save_bundle,
+                        save_tensor)
 
 __all__ = ["TrainConfig", "make_optimizer", "train_step", "train", "evaluate",
            "EvalReport", "PairResult", "eval_keypoints", "save_checkpoint",
@@ -195,14 +200,68 @@ def _eval_one(model, pair: SyntheticPair, pair_id: int,
         wta_pck={a: pck(wta_kp, gt_kp, alpha=a) for a in alphas})
 
 
+# numpy >= 2 wheels, numpy 1.x wheels, then an unsuffixed OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """Thread-count getter and setter of numpy's bundled OpenBLAS, or None.
+
+    Opening the wheel's copy with `ctypes.CDLL` returns the library numpy
+    already loaded, so the setter acts on numpy's own GEMMs.
+    """
+    np_dir = os.path.dirname(np.__file__)
+    paths = (glob.glob(os.path.join(np_dir + ".libs", "*openblas*"))
+             + glob.glob(os.path.join(np_dir, ".dylibs", "*openblas*")))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore it.
+
+    A no-op when numpy does not bundle OpenBLAS (MKL, Accelerate, a distro
+    build). OpenBLAS splits a GEMM by rows and columns, never along the
+    summed axis, so the thread count changes no result.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def evaluate(model, pairs: list[SyntheticPair],
              alphas: tuple[float, ...] = (0.05, 0.1, 0.15),
              threads: int = 1) -> EvalReport:
     """Side-effect-free scoring of every pair; optionally pair-parallel.
 
-    Each of the `threads` workers runs its GEMMs on OpenBLAS's own thread
-    pool too, so with the default BLAS threads `threads > 1` can be slower
-    than serial; set `OPENBLAS_NUM_THREADS=1` when fanning out over pairs.
+    With `threads > 1` each worker runs its GEMMs on one BLAS thread, so
+    pair workers do not contend with OpenBLAS's own pool; the previous
+    count is restored once every worker has finished. Without numpy's
+    bundled OpenBLAS the cap is a no-op.
     """
     if not pairs:
         raise ArgumentError("no evaluation pairs")
@@ -213,7 +272,7 @@ def evaluate(model, pairs: list[SyntheticPair],
         report.rows = [_eval_one(model, p, i, report.alphas)
                        for i, p in enumerate(pairs)]
         return report
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_eval_one, model, p, i, report.alphas)
                    for i, p in enumerate(pairs)]
         report.rows = [f.result() for f in futures]
@@ -269,7 +328,7 @@ def write_dataset(out_dir, n_pairs: int, seed: int, grid: tuple[int, int],
         lines.append(
             f"src={names[0]} tgt={names[1]} flow={names[2]} seed={pair.seed}")
     manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as fh:
+    with atomic_write(manifest, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest
 

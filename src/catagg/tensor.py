@@ -395,9 +395,9 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         raise DimensionError(f"softmax: axis {axis} out of range for {x.shape}")
     if x.shape[ax] == 0:
         raise DimensionError("softmax over empty axis")
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = np.subtract(x.data, x.data.max(axis=ax, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=ax, keepdims=True)

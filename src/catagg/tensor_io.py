@@ -6,12 +6,18 @@ u32 little-endian extents, then raw little-endian scalars row-major.
 Bundle format (checkpoints, multi-tensor artifacts): magic "CATB",
 u32 version, u32 JSON metadata length + UTF-8 JSON, u32 record count,
 then per record a u16 name length + UTF-8 name + one CATT record.
+
+Every artifact writer goes through `atomic_write`, so a crash never leaves
+a half-written file at the final path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import threading
 from typing import BinaryIO
 
 import numpy as np
@@ -19,7 +25,7 @@ import numpy as np
 from .errors import CheckpointError
 
 __all__ = ["save_tensor", "load_tensor", "write_tensor", "read_tensor",
-           "save_bundle", "load_bundle"]
+           "save_bundle", "load_bundle", "atomic_write"]
 
 MAGIC = b"CATT"
 BUNDLE_MAGIC = b"CATB"
@@ -27,6 +33,24 @@ BUNDLE_VERSION = 1
 
 _TAG_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_OF = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temp file beside `path` that replaces `path` once written.
+
+    If the block raises, the temp file is removed and `path` keeps what it
+    held before (or stays absent). Text mode writes UTF-8.
+    """
+    tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
@@ -65,7 +89,7 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         write_tensor(f, arr)
 
 
@@ -79,7 +103,7 @@ def load_tensor(path) -> np.ndarray:
 
 def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     blob = json.dumps(meta or {}, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(BUNDLE_MAGIC)
         f.write(struct.pack("<I", BUNDLE_VERSION))
         f.write(struct.pack("<I", len(blob)))

@@ -257,6 +257,19 @@ class TestIntegerRange:
         assert "Traceback" not in err
         assert not ck.exists()
 
+    @pytest.mark.parametrize("size", [8, 24])
+    def test_image_size_not_multiple_of_16_usage_error(self, tmp_path, capsys,
+                                                       size):
+        out = tmp_path / "data"
+        code = main(["gen-data", "--out", str(out), "--pairs", "1",
+                     "--set", f"data.size={size}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(r"^usage error: data\.size: must be a multiple of 16",
+                         err, re.M)
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestNonUtf8Input:
     BAD = "# caf\xe9\n".encode("latin-1")  # 0xe9 alone is not UTF-8

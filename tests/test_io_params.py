@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from catagg import tensor_io
 from catagg.errors import ArgumentError, CheckpointError, StateError
 from catagg.params import ParamStore
 from catagg.tensor_io import load_bundle, load_tensor, save_bundle, save_tensor
@@ -99,6 +102,29 @@ def test_bundle_bad_record_name_rejected(tmp_path):
     p.write_bytes(p.read_bytes().replace(b"zz", b"\xff\xfe", 1))
     with pytest.raises(CheckpointError, match="record name"):
         load_bundle(p)
+
+
+@pytest.mark.parametrize("save", [
+    lambda p: save_tensor(p, np.ones((4, 4), np.float32)),
+    lambda p: save_bundle(p, {"a": np.zeros(3), "b": np.ones((4, 4))}, {"k": 1}),
+], ids=["tensor", "bundle"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, save):
+    real = tensor_io.write_tensor
+
+    def dies_midway(f, arr):
+        real(f, arr[:1])  # some bytes reach the file first
+        raise OSError("disk full")
+
+    fresh, old = tmp_path / "fresh.bin", tmp_path / "old.bin"
+    save(old)
+    before = old.read_bytes()
+    monkeypatch.setattr(tensor_io, "write_tensor", dies_midway)
+    for path in (fresh, old):
+        with pytest.raises(OSError, match="disk full"):
+            save(path)
+    assert not fresh.exists()
+    assert old.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["old.bin"]
 
 
 def test_store_registers_and_counts():

@@ -8,10 +8,11 @@ import pytest
 
 from catagg import pipeline as pl
 from catagg import tensor as tt
+from catagg.cats import CatsConfig
 from catagg.catspp import EfficientConfig, EmbedConfig
 from catagg.errors import ArgumentError, CheckpointError, NumericError
 from catagg.flow import aepe, pck, transfer_keypoints
-from catagg.model import CatsPPModel
+from catagg.model import CatsModel, CatsPPModel
 from catagg.params import ParamStore
 from catagg.synth import generate_pair
 from catagg.tensor_io import load_tensor, save_bundle
@@ -23,6 +24,11 @@ def _build(seed=0, dtype=np.float32):
     eff = EfficientConfig(s=2, a=32, r=2, n_encoders=1, p=16,
                           proj_kernel=3, ffn_kernel=3)
     return store, CatsPPModel(store, embed, eff, layers=(4, 5))
+
+
+def _build_cats():
+    store = ParamStore(rng=np.random.default_rng(0))
+    return store, CatsModel(store, CatsConfig(grid=(16, 16)), layers=(4, 5))
 
 
 def _pairs(n=3, base=200):
@@ -180,14 +186,61 @@ class TestEvaluate:
             np.mean([r.pck[0.1] for r in rep.rows]))
 
     def test_threads_match_serial(self):
-        store, model = _build()
+        # cats' token GEMMs are large enough for OpenBLAS to thread them in
+        # the serial run, so the one-BLAS-thread workers must still agree
         pairs = _pairs(3)
+        for _, model in (_build(), _build_cats()):
+            a = pl.evaluate(model, pairs, alphas=(0.1,), threads=1)
+            b = pl.evaluate(model, pairs, alphas=(0.1,), threads=3)
+            assert a.to_text() == b.to_text()
+
+    def test_blas_threads_capped_in_workers_and_restored(self, monkeypatch):
+        blas = pl._openblas()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        get, _ = blas
+        before = get()
+        seen = []
+        real = pl._eval_one
+
+        def spy(*args):
+            seen.append(get())
+            return real(*args)
+
+        store, model = _build()
+        monkeypatch.setattr(pl, "_eval_one", spy)
+        pl.evaluate(model, _pairs(2), alphas=(0.1,), threads=2)
+        assert seen == [1, 1]
+        assert get() == before
+        pl.evaluate(model, _pairs(1), alphas=(0.1,), threads=1)
+        assert seen[-1] == before  # serial eval keeps the BLAS threads
+
+    def test_blas_threads_restored_when_a_worker_raises(self, monkeypatch):
+        blas = pl._openblas()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        before = blas[0]()
+
+        def boom(*args):
+            raise NumericError("worker failed")
+
+        store, model = _build()
+        monkeypatch.setattr(pl, "_eval_one", boom)
+        with pytest.raises(NumericError, match="worker failed"):
+            pl.evaluate(model, _pairs(2), alphas=(0.1,), threads=2)
+        assert blas[0]() == before
+
+    def test_blas_cap_is_noop_without_openblas(self, monkeypatch):
+        real = pl._openblas()
+        monkeypatch.setattr(pl, "_openblas", lambda: None)
+        before = real[0]() if real else None
+        with pl._one_blas_thread():
+            assert (real[0]() if real else None) == before
+        store, model = _build()
+        pairs = _pairs(2)
         a = pl.evaluate(model, pairs, alphas=(0.1,), threads=1)
-        b = pl.evaluate(model, pairs, alphas=(0.1,), threads=3)
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.aepe == rb.aepe
-            assert ra.pck == rb.pck
-            assert ra.wta_pck == rb.wta_pck
+        b = pl.evaluate(model, pairs, alphas=(0.1,), threads=2)
+        assert a.to_text() == b.to_text()
 
     def test_empty_rejected(self):
         store, model = _build()
