@@ -30,8 +30,9 @@ print("feature levels:", [tuple(f.grid.shape) for f in feat_s])
 stack = build_stack(feat_s, feat_t, target_hw=(16, 16))
 print(f"correlation stack {stack.maps.shape}, min {stack.maps.data.min():.3f}")
 
-# averaging levels and taking the softmax-weighted target centroid per row
-# yields a dense displacement field in grid cells
+# averaging levels into a [16, 16, 16, 16] volume and taking the
+# softmax-weighted target centroid per source cell yields a dense
+# displacement field in grid cells
 mean_map = raw_correlation_mean(feat_s, feat_t, (16, 16))
 soft = soft_argmax_flow(mean_map, beta=20.0)
 hard = hard_argmax_flow(mean_map)

@@ -164,11 +164,9 @@ class CatsAggregator:
     # ---- public entry ----------------------------------------------------
 
     def aggregate(self, stack: CorrelationStack, feats_s: list[FeatureMap],
-                  feats_t: list[FeatureMap], mode: str | None = None) -> CorrelationStack:
-        """Two-pass swapped aggregation with a single residual connection."""
-        mode = mode or self.cfg.mode
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got '{mode}'")
+                  feats_t: list[FeatureMap]) -> CorrelationStack:
+        """Two-pass swapped aggregation with a single residual connection,
+        in the pass order `cfg.mode` names."""
         if stack.grid != self.cfg.grid:
             raise DimensionError(f"stack grid {stack.grid} != config {self.cfg.grid}")
         if stack.token_axis != SOURCE:
@@ -176,9 +174,9 @@ class CatsAggregator:
         fs = resize_features(feats_s, self.cfg.grid)
         ft = resize_features(feats_t, self.cfg.grid)
 
-        if mode == "serial":
+        if self.cfg.mode == "serial":
             out = self._serial(stack.maps, fs, ft)
-        elif mode == "parallel":
+        elif self.cfg.mode == "parallel":
             out = self._parallel(stack.maps, fs, ft)
         else:
             mid = self._serial(stack.maps, fs, ft)

@@ -186,7 +186,7 @@ def cmd_infer(args) -> int:
                     pred.grid.data.astype(np.float64))
         row = f"pair={i} flow={flow_name}"
         if kps is not None:
-            moved = transfer_keypoints(pl._as_f64(pred), kps)
+            moved = transfer_keypoints(pred, kps)
             kp_name = f"pred_kp_{i:04d}.txt"
             write_keypoints(os.path.join(args.out, kp_name), moved)
             row += f" kps={kp_name}"

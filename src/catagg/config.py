@@ -63,6 +63,10 @@ DEFAULTS: dict[str, object] = {
 
 _CHOICES = {"model": ("cats", "catspp"), "mode": MODES}
 _NON_NEGATIVE = ("seed", "train.steps")  # every other integer key is >= 1
+# every float key must be finite; these also have a floor
+_POSITIVE_FLOATS = ("beta",)
+_NON_NEGATIVE_FLOATS = ("data.magnitude", "train.lr_aggregator",
+                        "train.lr_backbone", "train.weight_decay")
 
 
 def _coerce(key: str, raw: str):
@@ -128,6 +132,13 @@ class RunConfig:
             low = 0 if key in _NON_NEGATIVE else 1
             if value < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {value}")
+        if isinstance(value, float):
+            if not np.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
+            if key in _POSITIVE_FLOATS and value <= 0:
+                raise ConfigError(f"{key}: must be > 0, got {value}")
+            if key in _NON_NEGATIVE_FLOATS and value < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value}")
         if key == "data.size" and value % 16:
             # the backbone pools by 16 and the generator's coarse field is size/16
             raise ConfigError(f"{key}: must be a multiple of 16, got {value}")
@@ -171,15 +182,13 @@ class RunConfig:
         return (self["grid.h"], self["grid.w"])
 
     def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(
+        return TrainConfig(
             lr_aggregator=self["train.lr_aggregator"],
             lr_backbone=self["train.lr_backbone"],
             weight_decay=self["train.weight_decay"],
             steps=self["train.steps"],
             batch_size=self["train.batch"],
             seed=self["seed"])
-        cfg.validate()
-        return cfg
 
     def build_model(self, store: ParamStore | None = None):
         """Construct the selected model (and its fresh store if none given)."""

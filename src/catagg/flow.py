@@ -77,28 +77,19 @@ def _positions(h: int, w: int, dtype) -> np.ndarray:
 
 
 def _as_square_map(c: Tensor) -> tuple[Tensor, int, int]:
-    if c.ndim == 4:
-        hs, ws, ht, wt = c.shape
-        if (hs, ws) != (ht, wt):
-            raise DimensionError(
-                f"flow needs matching source/target grids, got {c.shape}")
-        return tt.reshape(c, (hs * ws, ht * wt)), hs, ws
-    if c.ndim == 2:
-        n, m = c.shape
-        if n != m:
-            raise DimensionError(f"correlation must be square, got {c.shape}")
-        h = int(round(np.sqrt(n)))
-        if h * h != n:
-            raise DimensionError(
-                f"cannot infer a square grid from {n} tokens; "
-                f"pass a 4D volume instead")
-        return c, h, h
-    raise DimensionError(f"correlation must be rank 2 or 4, got rank {c.ndim}")
+    """[h, w, h, w] volume -> [h*w, h*w] rows of one source cell each."""
+    if c.ndim != 4 or c.shape[:2] != c.shape[2:]:
+        raise DimensionError(
+            f"flow needs a [h, w, h, w] volume, got {c.shape}")
+    h, w = c.shape[:2]
+    return tt.reshape(c, (h * w, h * w)), h, w
 
 
 def soft_argmax_flow(c: Tensor, beta: float = 20.0) -> FlowField:
     """Displacement per source cell: softmax(beta*row)-weighted target centroid.
 
+    `c` is an [h, w, h, w] volume scoring every source cell (first axis
+    pair) against every target cell (second pair) of one h x w grid.
     Differentiable in c; each output lies in the convex hull of grid
     coordinates by construction.
     """
@@ -114,7 +105,8 @@ def soft_argmax_flow(c: Tensor, beta: float = 20.0) -> FlowField:
 
 
 def hard_argmax_flow(c: Tensor) -> FlowField:
-    """Winner-take-all displacement: argmax target cell minus source cell."""
+    """Winner-take-all displacement over an [h, w, h, w] volume: argmax
+    target cell minus source cell."""
     flat, h, w = _as_square_map(c)
     pos = _positions(h, w, np.float64)
     best = np.argmax(flat.data, axis=-1)

@@ -91,9 +91,10 @@ def _select(feats: list[FeatureMap], layers) -> list[FeatureMap]:
 
 def raw_correlation_mean(feats_s: list[FeatureMap], feats_t: list[FeatureMap],
                          grid: tuple[int, int]) -> Tensor:
-    """Level-averaged cosine correlation at `grid`: the no-aggregation map."""
+    """Level-averaged cosine correlation at `grid`: the no-aggregation map,
+    as the [h, w, h, w] volume the flow readout takes."""
     stack = build_stack(feats_s, feats_t, grid)
-    return tt.tmean(stack.maps, axis=0)
+    return tt.reshape(tt.tmean(stack.maps, axis=0), grid + grid)
 
 
 class CatsModel:
@@ -126,7 +127,8 @@ class CatsModel:
         ft = self.features(target)
         stack = build_stack(fs, ft, self.cfg.grid)
         out = self.agg.aggregate(stack, fs, ft)
-        return soft_argmax_flow(tt.tmean(out.maps, axis=0), beta=self.beta)
+        corr = tt.reshape(tt.tmean(out.maps, axis=0), self.cfg.grid + self.cfg.grid)
+        return soft_argmax_flow(corr, beta=self.beta)
 
     def wta(self, source: Tensor, target: Tensor) -> FlowField:
         with tt.no_grad():

@@ -186,7 +186,7 @@ def _eval_one(model, pair: SyntheticPair, pair_id: int,
               alphas: tuple[float, ...]) -> PairResult:
     with tt.no_grad():
         pred = _as_f64(model.flow(pair.source, pair.target))
-        wta = _as_f64(model.wta(pair.source, pair.target))
+        wta = model.wta(pair.source, pair.target)
         gt = pair.gt_flow(model.flow_grid)  # analytic, f64
         err = aepe(pred, gt).item()
     kps = eval_keypoints(pair.extents)

@@ -311,16 +311,12 @@ def concat(tensors, axis: int) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape, dt = a.shape, a.data.dtype
+    in_shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.full(in_shape, g, dtype=dt)
-                    if np.ndim(g) == 0 else np.broadcast_to(g, in_shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, in_shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
     return _make(np.asarray(out), "sum", (a,), vjp)
 
@@ -372,10 +368,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "matmul", (a, b), vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x."""
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
+    return add(matmul(x, w), b)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

@@ -18,6 +18,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from catagg import pipeline as pl
 from catagg import tensor as tt
@@ -169,13 +170,17 @@ def _toy_inputs(seed: int = 3):
 
 
 def test_c3_zeroed_projections_reduce_to_identity():
-    # two-pass aggregator: randomized params, zeroed residual writers
-    cfg = CatsConfig(grid=(6, 6), n_encoders=2, n_heads=2, p=8,
-                     ffn_ratio=2, mode="serial")
-    store = ParamStore(rng=np.random.default_rng(0))
-    agg = CatsAggregator(cfg, store, feat_channels=[5, 7])
-    _randomize(store, 11)
-    agg.zero_output_projections()
+    # two-pass aggregator: randomized params, zeroed residual writers;
+    # one aggregator per pass order, each from the same seeded store
+    def aggregator(mode: str) -> CatsAggregator:
+        cfg = CatsConfig(grid=(6, 6), n_encoders=2, n_heads=2, p=8,
+                         ffn_ratio=2, mode=mode)
+        store = ParamStore(rng=np.random.default_rng(0))
+        agg = CatsAggregator(cfg, store, feat_channels=[5, 7])
+        _randomize(store, 11)
+        agg.zero_output_projections()
+        return agg
+
     rng = np.random.default_rng(5)
     stack = CorrelationStack(
         maps=Tensor(rng.uniform(size=(2, 36, 36)).astype(np.float32)),
@@ -187,7 +192,7 @@ def test_c3_zeroed_projections_reduce_to_identity():
     fs, ft = feats(), feats()
     with tt.no_grad():
         for mode in ("serial", "parallel", "both"):
-            out = agg.aggregate(stack, fs, ft, mode=mode)
+            out = aggregator(mode).aggregate(stack, fs, ft)
             assert out.maps.data.tobytes() == stack.maps.data.tobytes(), mode
 
     # pyramidal aggregator: output collapses to the embed+upsample cascade
@@ -262,6 +267,7 @@ def _desk_model(name: str, lr_agg: float, lr_bb: float, steps: int):
     return model, tcfg, pl.make_optimizer(model, tcfg)
 
 
+@pytest.mark.slow
 def test_c5_single_pair_overfit_reaches_half_cell():
     pair31 = generate_pair(31)
     details = []
@@ -282,6 +288,7 @@ def test_c5_single_pair_overfit_reaches_half_cell():
 # ------------------------------------------------------------------ 6
 
 
+@pytest.mark.slow
 def test_c6_trained_aggregators_beat_wta_baseline():
     t_all = time.monotonic()
     train_pairs = [generate_pair(1000 + i) for i in range(200)]

@@ -165,7 +165,8 @@ def test_single_token_attention_weight_is_one(monkeypatch):
 
 def test_attention_rows_sum_to_one_at_every_site(monkeypatch):
     rng = np.random.default_rng(5)
-    _, store, agg, fs, ft, stack = _setup(rng, grid=(3, 3), p=3, n_heads=3)
+    _, store, agg, fs, ft, stack = _setup(rng, grid=(3, 3), p=3, n_heads=3,
+                                          mode="both")
     _randomize(store, rng)
     sums = []
     real = T.softmax
@@ -176,7 +177,7 @@ def test_attention_rows_sum_to_one_at_every_site(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "softmax", spy)
-    agg.aggregate(stack, fs, ft, mode="both")
+    agg.aggregate(stack, fs, ft)
     assert len(sums) >= 8  # 2 blocks x 2 passes x 2 modes
     for s in sums:
         np.testing.assert_allclose(s, 1.0, atol=1e-6)
@@ -225,7 +226,7 @@ def test_serial_matches_straight_line_oracle():
     _, store, agg, fs, ft, stack = _setup(
         rng, grid=(3, 3), p=4, n_heads=1, channels=[5, 5])
     _wake_zeros(store, rng)
-    out = agg.aggregate(stack, fs, ft, mode="serial").maps.data
+    out = agg.aggregate(stack, fs, ft).maps.data
     P = {n[len("cats."):]: t.data.astype(np.float64) for n, t in store.items()}
     fs_np = [f.grid.data.astype(np.float64) for f in fs]
     ft_np = [f.grid.data.astype(np.float64) for f in ft]
@@ -236,9 +237,10 @@ def test_serial_matches_straight_line_oracle():
 
 def test_parallel_is_sum_of_two_orientations():
     rng = np.random.default_rng(10)
-    _, store, agg, fs, ft, stack = _setup(rng, grid=(3, 3), p=3, n_heads=2)
+    _, store, agg, fs, ft, stack = _setup(rng, grid=(3, 3), p=3, n_heads=2,
+                                          mode="parallel")
     _randomize(store, rng)
-    out = agg.aggregate(stack, fs, ft, mode="parallel").maps.data
+    out = agg.aggregate(stack, fs, ft).maps.data
     P = {n[len("cats."):]: t.data.astype(np.float64) for n, t in store.items()}
     fs_np = [f.grid.data.astype(np.float64) for f in fs]
     ft_np = [f.grid.data.astype(np.float64) for f in ft]
@@ -251,9 +253,9 @@ def test_parallel_is_sum_of_two_orientations():
 
 def test_passes_share_parameters():
     rng = np.random.default_rng(11)
-    _, store, agg, fs, ft, stack = _setup(rng)
+    _, store, agg, fs, ft, stack = _setup(rng, mode="both")
     names_before = set(store.names())
-    agg.aggregate(stack, fs, ft, mode="both")
+    agg.aggregate(stack, fs, ft)
     assert set(store.names()) == names_before
     # exactly one encoder parameter set exists; both passes read it
     enc_names = [n for n in names_before if ".enc" in n]
@@ -266,9 +268,10 @@ def test_passes_share_parameters():
         return orig(maps, feats)
 
     agg.transform = spy
-    agg.aggregate(stack, fs, ft, mode="serial")
+    agg.aggregate(stack, fs, ft)
     agg.transform = orig
-    assert len(seen) == 2 and seen[0] is seen[1]
+    # serial then parallel: four transforms, all on the one parameter set
+    assert len(seen) == 4 and all(p is seen[0] for p in seen)
 
 
 def test_heads_must_divide_token_extent():
@@ -278,9 +281,8 @@ def test_heads_must_divide_token_extent():
 
 def test_unknown_mode_rejected():
     rng = np.random.default_rng(12)
-    _, _, agg, fs, ft, stack = _setup(rng)
     with pytest.raises(ConfigError):
-        agg.aggregate(stack, fs, ft, mode="zigzag")
+        _setup(rng, mode="zigzag")
 
 
 def test_grid_mismatch_rejected():
@@ -298,8 +300,8 @@ def test_target_row_stacks_are_normalized_first():
     _randomize(store, rng)
     from catagg.correlation import swap
 
-    a = agg.aggregate(stack, fs, ft, mode="serial").maps.data
-    b = agg.aggregate(swap(stack), fs, ft, mode="serial").maps.data
+    a = agg.aggregate(stack, fs, ft).maps.data
+    b = agg.aggregate(swap(stack), fs, ft).maps.data
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -316,7 +318,7 @@ def test_aggregate_gradcheck_small():
 
     def fwd():
         stack = build_stack(fs, ft, (2, 2))
-        out = agg.aggregate(stack, fs, ft, mode="serial")
+        out = agg.aggregate(stack, fs, ft)
         return T.tsum(T.mul(out.maps, Tensor(w, dtype=np.float64)))
 
     loss = fwd()

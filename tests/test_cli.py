@@ -271,6 +271,41 @@ class TestIntegerRange:
         assert not out.exists()
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("setting", [
+        "beta=nan", "train.stop_below=inf", "beta=0",
+        "train.lr_aggregator=-1", "train.lr_backbone=-1",
+        "train.weight_decay=-1", "data.magnitude=-0.5"])
+    def test_out_of_range_float_usage_error(self, workdir, tmp_path, capsys,
+                                            setting):
+        ck = tmp_path / "ck.catb"
+        code = main(["train", "--data", workdir["data"], "--out", str(ck),
+                     "--set", "train.steps=0", *CATSPP, "--set", setting])
+        err = capsys.readouterr().err
+        assert code == 2
+        key = setting.split("=")[0]
+        assert re.search(rf"^usage error: {re.escape(key)}: must be ", err, re.M)
+        assert "Traceback" not in err
+        assert not ck.exists()
+
+
+class TestNonSquareCatsGrid:
+    def test_gen_train_eval(self, tmp_path):
+        grid = ["--set", "grid.h=4", "--set", "grid.w=6"]
+        data = str(tmp_path / "data")
+        ck = str(tmp_path / "ck.catb")
+        rep = tmp_path / "report.txt"
+        assert main(["gen-data", "--out", data, "--pairs", "1", "--seed", "5",
+                     *grid]) == 0
+        assert main(["train", "--data", f"{data}/manifest.txt", "--out", ck,
+                     "--set", "train.steps=1", *grid]) == 0
+        assert main(["eval", "--data", f"{data}/manifest.txt", "--checkpoint",
+                     ck, "--report", str(rep), *grid]) == 0
+        lines = rep.read_text().splitlines()
+        assert "# grid.w = 6" in lines
+        assert lines[-1].startswith("summary aepe=")
+
+
 class TestNonUtf8Input:
     BAD = "# caf\xe9\n".encode("latin-1")  # 0xe9 alone is not UTF-8
 

@@ -29,7 +29,7 @@ def _ff(arr):
 
 
 def test_uniform_scores_center_of_mass():
-    c = Tensor(np.zeros((4, 4), np.float64))
+    c = Tensor(np.zeros((2, 2, 2, 2), np.float64))
     f = soft_argmax_flow(c, beta=1.0)
     # every target equally likely on a 2x2 grid: expectation (0.5, 0.5)
     np.testing.assert_allclose(f.grid.data[0, 0], [0.5, 0.5], atol=1e-12)
@@ -39,7 +39,7 @@ def test_uniform_scores_center_of_mass():
 def test_saturated_peak_points_at_peak():
     c = np.zeros((9, 9), np.float64)
     c[2, 7] = 50.0
-    f = soft_argmax_flow(Tensor(c), beta=20.0)
+    f = soft_argmax_flow(Tensor(c.reshape(3, 3, 3, 3)), beta=20.0)
     # token 2 = (x=2, y=0); peak token 7 = (x=1, y=2)
     np.testing.assert_allclose(f.grid.data[0, 2], [1 - 2, 2 - 0], atol=1e-6)
 
@@ -47,7 +47,7 @@ def test_saturated_peak_points_at_peak():
 def test_matches_probability_centroid_oracle():
     rng = np.random.default_rng(0)
     c = rng.normal(size=(9, 9))
-    f = soft_argmax_flow(Tensor(c), beta=1.0)
+    f = soft_argmax_flow(Tensor(c.reshape(3, 3, 3, 3)), beta=1.0)
     want = softargmax_flow_oracle(c, 3, 3, 1.0)
     assert np.abs(f.grid.data.reshape(9, 2) - want).max() < 1e-6
 
@@ -63,27 +63,28 @@ def test_four_d_volume_accepted():
         soft_argmax_flow(Tensor(rng.normal(size=(3, 4, 4, 3))), beta=2.0)
 
 
-def test_rank2_non_square_grid_rejected():
-    with pytest.raises(DimensionError):
-        soft_argmax_flow(Tensor(np.zeros((12, 12))), beta=1.0)  # 12 not square
-    with pytest.raises(DimensionError):
-        soft_argmax_flow(Tensor(np.zeros((4, 6))), beta=1.0)
+def test_rank2_scores_rejected():
+    for shape in ((16, 16), (12, 12), (4, 6)):
+        with pytest.raises(DimensionError):
+            soft_argmax_flow(Tensor(np.zeros(shape)), beta=1.0)
+        with pytest.raises(DimensionError):
+            hard_argmax_flow(Tensor(np.zeros(shape)))
 
 
 def test_nonfinite_scores_numeric_error():
     c = np.zeros((4, 4))
     c[1, 2] = np.nan
     with pytest.raises(NumericError):
-        soft_argmax_flow(Tensor(c), beta=1.0)
+        soft_argmax_flow(Tensor(c.reshape(2, 2, 2, 2)), beta=1.0)
     with pytest.raises(ArgumentError):
-        soft_argmax_flow(Tensor(np.zeros((4, 4))), beta=0.0)
+        soft_argmax_flow(Tensor(np.zeros((2, 2, 2, 2))), beta=0.0)
 
 
 def test_outputs_inside_coordinate_hull():
     rng = np.random.default_rng(2)
     for _ in range(5):
         c = rng.normal(scale=3.0, size=(16, 16))
-        f = soft_argmax_flow(Tensor(c), beta=5.0)
+        f = soft_argmax_flow(Tensor(c.reshape(4, 4, 4, 4)), beta=5.0)
         pos = np.stack(np.meshgrid(np.arange(4), np.arange(4), indexing="ij"),
                        axis=-1)[..., ::-1]  # (x, y)
         target = f.grid.data + pos
@@ -94,14 +95,14 @@ def test_outputs_inside_coordinate_hull():
 def test_beta_error_monotone_toward_hard_argmax():
     rng = np.random.default_rng(3)
     c = rng.normal(size=(16, 16))
-    hard = hard_argmax_flow(Tensor(c)).grid.data
+    hard = hard_argmax_flow(Tensor(c.reshape(4, 4, 4, 4))).grid.data
     top2 = np.sort(c, axis=1)[:, -2:]
     gap = (top2[:, 1] - top2[:, 0]).min()
     beta_sat = 45.0 / gap  # e^(-45) leaves no runner-up mass
     betas = [beta_sat / 4 ** k for k in range(6)][::-1]
     errs = []
     for beta in betas:
-        soft = soft_argmax_flow(Tensor(c), beta=beta).grid.data
+        soft = soft_argmax_flow(Tensor(c.reshape(4, 4, 4, 4)), beta=beta).grid.data
         errs.append(np.abs(soft - hard).max())
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-6
@@ -109,7 +110,7 @@ def test_beta_error_monotone_toward_hard_argmax():
 
 def test_soft_argmax_differentiable():
     rng = np.random.default_rng(4)
-    c = Tensor(rng.normal(size=(9, 9)), requires_grad=True)
+    c = Tensor(rng.normal(size=(9, 9)).reshape(3, 3, 3, 3), requires_grad=True)
     w = rng.normal(size=(3, 3, 2))
     loss = T.tsum(T.mul(soft_argmax_flow(c, beta=2.0).grid, Tensor(w)))
     T.backward(loss)

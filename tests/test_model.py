@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from catagg import pipeline as pl
 from catagg import tensor as tt
 from catagg.cats import CatsConfig
 from catagg.catspp import EfficientConfig, EmbedConfig
@@ -103,8 +104,9 @@ class TestRawCorrelationMean:
         ft = bb.forward(_image(2))[2:]
         m = raw_correlation_mean(fs, ft, (16, 16))
         stack = build_stack(fs, ft, (16, 16))
-        np.testing.assert_array_equal(m.data, stack.maps.data.mean(axis=0))
-        assert m.shape == (256, 256)
+        np.testing.assert_array_equal(
+            m.data, stack.maps.data.mean(axis=0).reshape(16, 16, 16, 16))
+        assert m.shape == (16, 16, 16, 16)
 
 
 class TestCatsModel:
@@ -168,6 +170,18 @@ class TestCatsModel:
         store.zero_grad()
         model.wta(pair.source, pair.target)
         assert all(np.all(t.grad == 0) for t in store.tensors())
+
+
+    def test_non_square_grid_trains_and_evaluates(self):
+        store = _store()
+        cfg = CatsConfig(grid=(4, 6), n_encoders=1, n_heads=8, p=32)
+        model = CatsModel(store, cfg, layers=(4, 5))
+        pair = generate_pair(5, grid=(4, 6))
+        assert model.flow(pair.source, pair.target).resolution == (4, 6)
+        opt = pl.make_optimizer(model, pl.TrainConfig(steps=1))
+        assert np.isfinite(pl.train_step(model, opt, [pair]))
+        rep = pl.evaluate(model, [generate_pair(6, grid=(4, 6))], alphas=(0.1,))
+        assert np.isfinite(rep.rows[0].aepe)
 
 
 class TestCatsPPModel:
