@@ -118,7 +118,7 @@ class CatsAggregator:
             flat = tt.reshape(fm.grid, (hw, fm.grid.shape[-1]))
             emb = tt.linear(flat, self._p(f"appear{l}.w"), self._p(f"appear{l}.b"))
             rows.append(tt.reshape(emb, (1, hw, p)))
-        return rows[0] if len(rows) == 1 else tt.concat(rows, axis=0)
+        return tt.concat(rows, axis=0)
 
     def _mha(self, z: Tensor, base: str) -> Tensor:
         """Multi-head scaled dot-product self-attention over axis 1 of [B,T,F]."""

@@ -22,6 +22,7 @@ from .errors import CatAggError, CheckpointError, ConfigError, UsageError
 from .flow import read_keypoints, transfer_keypoints, write_keypoints
 from .gradcheck import CHECKS, run_all
 from .params import ParamStore
+from .synth import generate_pair
 from .tensor import Tensor
 from .tensor_io import atomic_write, load_tensor, save_tensor
 
@@ -216,7 +217,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .synth import generate_pair
     cfg = _load_config(args)
     store = ParamStore(rng=np.random.default_rng(cfg["seed"]))
     model = cfg.build_model(store)

@@ -59,10 +59,6 @@ class CorrelationStack:
         if self.token_axis not in (SOURCE, TARGET):
             raise ArgumentError(f"bad token_axis '{self.token_axis}'")
 
-    @property
-    def n_levels(self) -> int:
-        return self.maps.shape[0]
-
 
 @dataclass
 class Hypercorrelation:
@@ -124,8 +120,8 @@ def build_stack(features_s: list[FeatureMap], features_t: list[FeatureMap],
     levels = [
         tt.reshape(cosine_correlation(a, b), (1, hw, hw)) for a, b in zip(fs, ft)
     ]
-    maps = levels[0] if len(levels) == 1 else tt.concat(levels, axis=0)
-    return CorrelationStack(maps=maps, grid=tuple(target_hw), token_axis=SOURCE)
+    return CorrelationStack(maps=tt.concat(levels, axis=0), grid=tuple(target_hw),
+                            token_axis=SOURCE)
 
 
 def build_hypercorrelation(features_s: list[FeatureMap], features_t: list[FeatureMap],
@@ -159,8 +155,8 @@ def build_hypercorrelation(features_s: list[FeatureMap], features_t: list[Featur
             corr = cosine_correlation(a, b)
             slices.append(tt.reshape(corr, (hs, ws, ht, wt, 1)))
             levels.append(a.level)
-        vol = slices[0] if len(slices) == 1 else tt.concat(slices, axis=4)
-        out.append(Hypercorrelation(vol=vol, layer=q, levels=tuple(levels)))
+        out.append(Hypercorrelation(vol=tt.concat(slices, axis=4), layer=q,
+                                    levels=tuple(levels)))
     return out
 
 

@@ -52,8 +52,10 @@ class TrainConfig:
     def validate(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ArgumentError("steps must be >= 0 and batch_size positive")
-        if self.lr_aggregator < 0 or self.lr_backbone < 0:
-            raise ArgumentError("learning rates must be non-negative")
+        for name in ("lr_aggregator", "lr_backbone", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ArgumentError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def make_optimizer(model, cfg: TrainConfig) -> AdamW:
@@ -72,8 +74,7 @@ def _batch_loss(model, batch: list[SyntheticPair]) -> Tensor:
         pred = model.flow(pair.source, pair.target)
         gt = pair.gt_flow(model.flow_grid, dtype=model.store.dtype)
         losses.append(tt.reshape(aepe(pred, gt), (1,)))
-    total = losses[0] if len(losses) == 1 else tt.concat(losses, axis=0)
-    return tt.tmean(total)
+    return tt.tmean(tt.concat(losses, axis=0))
 
 
 def train_step(model, opt: AdamW, batch: list[SyntheticPair]) -> float:

@@ -121,10 +121,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -135,41 +131,18 @@ class Tensor:
         op = "leaf" if self._node is None else self._node.op
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={op})"
 
-    # operator sugar (scalars or same-dtype tensors)
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _Node:
     """One recorded op. Each entry of `parents` is the input's own node, the
     input tensor itself when it is a leaf that requires grad, or None for a
     constant input; `backward` clears `vjp` and `parents` once it has run."""
 
-    __slots__ = ("op", "vjp", "parents", "parent_shapes")
+    __slots__ = ("op", "vjp", "parents")
 
-    def __init__(self, op: str, vjp, parents: tuple, parent_shapes: tuple):
+    def __init__(self, op: str, vjp, parents: tuple):
         self.op = op
         self.vjp = vjp
         self.parents = parents
-        self.parent_shapes = parent_shapes
 
 
 def _graph_entry(t: Tensor):
@@ -185,8 +158,7 @@ def _make(out_data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Te
     track = _grad_enabled() and any(p.requires_grad for p in parents)
     t = Tensor(out_data, requires_grad=track)
     if track:
-        t._node = _Node(op, vjp, tuple(_graph_entry(p) for p in parents),
-                        tuple(p.shape for p in parents))
+        t._node = _Node(op, vjp, tuple(_graph_entry(p) for p in parents))
     return t
 
 
@@ -211,10 +183,7 @@ def _check_same_dtype(*ts: Tensor):
 # elementwise / arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        out = a.data + a.data.dtype.type(b)
-        return _make(out, "add_scalar", (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     try:
         out = a.data + b.data
@@ -229,9 +198,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out, "add", (a, b), vjp)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return add(a, -b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     try:
         out = a.data - b.data
@@ -246,9 +213,7 @@ def sub(a: Tensor, b) -> Tensor:
     return _make(out, "sub", (a, b), vjp)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return scale(a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     try:
         out = a.data * b.data
@@ -447,9 +412,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         red = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=red)
         dbeta = g.sum(axis=red)
-        return dx.astype(dt), dgamma, dbeta
+        return dx.astype(dt, copy=False), dgamma, dbeta
 
-    return _make(out.astype(dt), "layer_norm", (x, gamma, beta), vjp)
+    return _make(out.astype(dt, copy=False), "layer_norm", (x, gamma, beta), vjp)
 
 
 def l2norm_last(x: Tensor) -> Tensor:
@@ -487,8 +452,10 @@ def backward(loss: Tensor):
 
     Visits each recorded node exactly once in reverse topological order and
     consumes the graph as it goes: a node's closure and inputs are dropped
-    once its VJP has run, and only leaves receive ``.grad``. A second
-    backward through a consumed node is a StateError.
+    once its VJP has run, and only leaves receive ``.grad``. Every VJP
+    returns its inputs' gradients in their shapes and dtypes, and they are
+    accumulated as returned. A second backward through a consumed node is
+    a StateError.
     """
     if loss.size != 1:
         raise DimensionError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -526,11 +493,9 @@ def backward(loss: Tensor):
             continue
         if g is not None:
             parent_grads = node.vjp(g)
-            for p, shape, pg in zip(node.parents, node.parent_shapes, parent_grads):
+            for p, pg in zip(node.parents, parent_grads):
                 if p is None or pg is None:
                     continue
-                if pg.shape != shape:
-                    pg = pg.reshape(shape)
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg
         node.vjp = None

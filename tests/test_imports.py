@@ -1,4 +1,5 @@
-"""Every module under src/ and tests/ uses each name it imports."""
+"""Every module under src/ and tests/ uses each name it imports, and
+modules under src/ import only at module top level."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,15 @@ def test_no_unused_imports():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
+
+
+def test_src_imports_only_at_top_level():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    nested = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set(map(id, tree.body))
+        nested += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []

@@ -85,6 +85,14 @@ class TestTrainStep:
         with pytest.raises(NumericError, match=r"step 1"):
             pl.train_step(_NaNModel(store), opt, _pairs(1))
 
+    def test_grads_match_param_shape_and_dtype(self):
+        for store, model in (_build(), _build_cats()):
+            opt = pl.make_optimizer(model, pl.TrainConfig(steps=1))
+            pl.train_step(model, opt, _pairs(1))
+            for name, t in store.items():
+                assert t.grad.shape == t.shape, name
+                assert t.grad.dtype == t.data.dtype, name
+
     def test_zero_lr_keeps_params_and_loss_constant(self):
         store, model = _build()
         cfg = pl.TrainConfig(steps=4, lr_aggregator=0.0, lr_backbone=0.0,
@@ -131,6 +139,18 @@ class TestTrain:
         losses = pl.train(model, opt, pairs, cfg, np.random.default_rng(2),
                           stop_below=1e9)
         assert len(losses) == 1
+
+    @pytest.mark.parametrize("field, value", [("lr_aggregator", float("nan")),
+                                              ("lr_backbone", float("inf")),
+                                              ("weight_decay", -1.0)])
+    def test_bad_rate_rejected_before_training(self, field, value):
+        store, model = _build()
+        cfg = pl.TrainConfig(steps=1, **{field: value})
+        opt = pl.make_optimizer(model, cfg)
+        h0 = _hash(store)
+        with pytest.raises(ArgumentError, match=field):
+            pl.train(model, opt, _pairs(1), cfg, np.random.default_rng(0))
+        assert _hash(store) == h0
 
     def test_empty_pairs_rejected(self):
         store, model = _build()

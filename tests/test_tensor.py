@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from catagg import tensor as T
 from catagg.errors import DimensionError, NumericError, StateError
-from catagg.gradcheck import check_op
+from catagg.gradcheck import CHECKS, check_op
 
 
 def test_matmul_identity():
@@ -273,3 +273,17 @@ def test_attention_matches_numpy(lead):
                                 "l2norm_last"])
 def test_gradcheck_core_ops(op):
     assert check_op(op, seeds=5) < 1e-4
+
+
+@pytest.mark.parametrize("op", sorted(CHECKS))
+def test_vjp_grads_match_input_shape_and_dtype(op):
+    # backward accumulates each VJP result as returned, so every VJP must
+    # hand back gradients shaped and typed like its inputs
+    rng = np.random.default_rng(0)
+    inputs, fwd = CHECKS[op](rng)
+    out = fwd()
+    w = T.Tensor(rng.normal(size=out.shape), dtype=np.float64)
+    T.backward(T.tsum(T.mul(out, w)))
+    for t in inputs:
+        assert t.grad.shape == t.shape
+        assert t.grad.dtype == t.data.dtype
