@@ -21,7 +21,6 @@ from .config import RunConfig
 from .errors import CatAggError, CheckpointError, ConfigError, UsageError
 from .flow import read_keypoints, transfer_keypoints, write_keypoints
 from .gradcheck import CHECKS, run_all
-from .params import ParamStore
 from .synth import generate_pair
 from .tensor import Tensor
 from .tensor_io import atomic_write, load_tensor, save_tensor
@@ -105,19 +104,20 @@ def _require_file(path, what: str):
         raise UsageError(f"{what} not found: {path}")
 
 
-def _restore(cfg: RunConfig, checkpoint_path):
-    """Build the model a checkpoint was trained with and load it."""
-    _require_file(checkpoint_path, "checkpoint")
-    store = ParamStore(rng=np.random.default_rng(cfg["seed"]))
-    model = cfg.build_model(store)
+def _build(cfg: RunConfig, checkpoint_path=None):
+    """The model, optimizer and RNG, restored from a checkpoint if given."""
+    if checkpoint_path is not None:
+        _require_file(checkpoint_path, "checkpoint")
+    model = cfg.build_model()
     opt = pl.make_optimizer(model, cfg.train_config())
     rng = np.random.default_rng(cfg["seed"])
-    meta = pl.load_checkpoint(checkpoint_path, store, opt, rng)
-    if meta.get("kind") != cfg["model"]:
-        raise CheckpointError(
-            f"checkpoint holds a {meta.get('kind')} model but the config "
-            f"selects {cfg['model']}")
-    return model, opt, rng, meta
+    if checkpoint_path is not None:
+        meta = pl.load_checkpoint(checkpoint_path, model.store, opt, rng)
+        if meta.get("kind") != cfg["model"]:
+            raise CheckpointError(
+                f"checkpoint holds a {meta.get('kind')} model but the config "
+                f"selects {cfg['model']}")
+    return model, opt, rng
 
 
 def cmd_gen_data(args) -> int:
@@ -134,19 +134,12 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     _require_file(args.data, "dataset manifest")
     pairs = pl.load_pairs(args.data)
-    tcfg = cfg.train_config()
+    model, opt, rng = _build(cfg, args.resume)
     if args.resume:
-        model, opt, rng, meta = _restore(cfg, args.resume)
-        opt.total_steps = tcfg.steps
-        print(f"resumed {meta['kind']} checkpoint at step {opt.step_count}")
-    else:
-        store = ParamStore(rng=np.random.default_rng(cfg["seed"]))
-        model = cfg.build_model(store)
-        opt = pl.make_optimizer(model, tcfg)
-        rng = np.random.default_rng(tcfg.seed)
+        print(f"resumed {cfg['model']} checkpoint at step {opt.step_count}")
     stop = cfg["train.stop_below"] or None
-    losses = pl.train(model, opt, pairs, tcfg, rng, stop_below=stop,
-                      log=print)
+    losses = pl.train(model, opt, pairs, cfg.train_config(), rng,
+                      stop_below=stop, log=print)
     pl.save_checkpoint(args.out, cfg["model"], model.store, opt, rng,
                        cfg.echo())
     last = losses[-1] if losses else float("nan")
@@ -158,7 +151,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     _require_file(args.data, "dataset manifest")
-    model, opt, rng, meta = _restore(cfg, args.checkpoint)
+    model = _build(cfg, args.checkpoint)[0]
     pairs = pl.load_pairs(args.data)
     report = pl.evaluate(model, pairs, alphas=cfg.alphas(),
                          threads=cfg["threads"])
@@ -172,7 +165,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     _require_file(args.data, "dataset manifest")
-    model, opt, rng, meta = _restore(cfg, args.checkpoint)
+    model = _build(cfg, args.checkpoint)[0]
     _, entries = pl.read_manifest(args.data)
     kps = read_keypoints(args.keypoints) if args.keypoints else None
     os.makedirs(args.out, exist_ok=True)
@@ -205,6 +198,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(
             f"unknown op '{args.ops}'; choose from all, "
             + ", ".join(sorted(CHECKS)))
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     rows = run_all(args.ops, seeds=args.seeds)
     width = max(len(name) for name, _, _ in rows)
     failed = False
@@ -218,11 +213,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    store = ParamStore(rng=np.random.default_rng(cfg["seed"]))
-    model = cfg.build_model(store)
+    model = cfg.build_model()
     for k, v in cfg.echo().items():
         print(f"# {k} = {v}")
-    for name, count in param_table(store).items():
+    for name, count in param_table(model.store).items():
         print(f"param.{name} = {count}")
     if cfg["model"] == "catspp":
         for q in cfg.layers():

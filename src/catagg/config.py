@@ -63,6 +63,7 @@ DEFAULTS: dict[str, object] = {
 
 _CHOICES = {"model": ("cats", "catspp"), "mode": MODES}
 _NON_NEGATIVE = ("seed", "train.steps")  # every other integer key is >= 1
+_ODD = ("catspp.embed.kernel", "catspp.proj_kernel", "catspp.ffn_kernel")
 # every float key must be finite; these also have a floor
 _POSITIVE_FLOATS = ("beta",)
 _NON_NEGATIVE_FLOATS = ("data.magnitude", "train.lr_aggregator",
@@ -89,10 +90,8 @@ def _coerce(key: str, raw: str):
 class RunConfig:
     """Resolved configuration: defaults, then file, then --set overrides."""
 
-    def __init__(self, values: dict | None = None):
+    def __init__(self):
         self._values = dict(DEFAULTS)
-        for k, v in (values or {}).items():
-            self.set(k, v)
 
     @classmethod
     def load(cls, path, sets: list[str] | None = None) -> "RunConfig":
@@ -132,6 +131,8 @@ class RunConfig:
             low = 0 if key in _NON_NEGATIVE else 1
             if value < low:
                 raise ConfigError(f"{key}: must be >= {low}, got {value}")
+            if key in _ODD and value % 2 == 0:
+                raise ConfigError(f"{key}: must be odd, got {value}")
         if isinstance(value, float):
             if not np.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
@@ -165,6 +166,8 @@ class RunConfig:
         bad = [q for q in layers if q not in (3, 4, 5)]
         if bad or not layers:
             raise ConfigError(f"layers must come from 3,4,5, got {layers}")
+        if len(set(layers)) != len(layers):
+            raise ConfigError(f"layers must be distinct, got {layers}")
         return layers
 
     def alphas(self) -> tuple[float, ...]:
@@ -190,10 +193,9 @@ class RunConfig:
             batch_size=self["train.batch"],
             seed=self["seed"])
 
-    def build_model(self, store: ParamStore | None = None):
-        """Construct the selected model (and its fresh store if none given)."""
-        if store is None:
-            store = ParamStore(rng=np.random.default_rng(self["seed"]))
+    def build_model(self):
+        """Construct the selected model on a fresh store seeded by `seed`."""
+        store = ParamStore(rng=np.random.default_rng(self["seed"]))
         if self["model"] == "cats":
             cats = CatsConfig(grid=self.grid(),
                               n_encoders=self["n_encoders"],

@@ -423,10 +423,18 @@ def load_checkpoint(path, store: ParamStore, opt: AdamW,
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {meta.get('version')} != {CHECKPOINT_VERSION}")
+    step = meta.get("step")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(
+            f"checkpoint step must be an int >= 0, got {step!r}")
     params = {k: v for k, v in arrays.items() if not k.startswith("opt.")}
     moments = {k: v for k, v in arrays.items() if k.startswith("opt.")}
     store.load_arrays(params)
     opt.load_arrays(moments)
-    opt.step_count = int(meta["step"])
-    rng.bit_generator.state = meta["rng"]
+    opt.step_count = step
+    try:
+        rng.bit_generator.state = meta["rng"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(
+            f"checkpoint rng is not a PCG64 state: {e!r}") from None
     return meta

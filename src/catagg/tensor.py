@@ -274,23 +274,23 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(out, "concat", tuple(ts), vjp)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     in_shape = a.shape
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
     return _make(np.asarray(out), "sum", (a,), vjp)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
     if n == 0:
         raise DimensionError("mean over empty axis")
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

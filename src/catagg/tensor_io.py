@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import threading
@@ -54,10 +55,13 @@ def atomic_write(path, mode: str = "wb"):
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated tensor file: wanted {n} bytes, got {len(buf)}")
-    return buf
+    # a header may claim any size: refuse it before allocating for it
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise CheckpointError(f"truncated tensor file: wanted {n} bytes, got {left}")
+    return f.read(n)
 
 
 def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
@@ -81,9 +85,11 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
         raise CheckpointError(f"unknown dtype tag {tag}")
     shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
     dt = _DTYPE_OF[tag]
-    n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    raw = _read_exact(f, n * dt.itemsize)
-    arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+    raw = _read_exact(f, math.prod(shape) * dt.itemsize)
+    try:
+        arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+    except ValueError as e:  # an empty tensor whose extents numpy cannot hold
+        raise CheckpointError(f"unreadable tensor shape {shape}: {e}") from None
     # native byte order, writable copy (astype always copies here)
     return arr.astype(dt.newbyteorder("="))
 
@@ -129,7 +135,7 @@ def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
         (mlen,) = struct.unpack("<I", _read_exact(f, 4))
         try:
             meta = json.loads(_read_exact(f, mlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8, JSON, depth
             raise CheckpointError(f"bundle metadata in {path} is not UTF-8 JSON: {e}") from None
         if not isinstance(meta, dict):
             raise CheckpointError(f"bundle metadata in {path} is not a JSON object")

@@ -3,6 +3,8 @@
 import filecmp
 import os
 import re
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from catagg.cli import main
 from catagg.flow import (FlowField, pck, read_keypoints, transfer_keypoints,
                          write_keypoints)
 from catagg.tensor import Tensor
-from catagg.tensor_io import load_tensor
+from catagg.tensor_io import load_bundle, load_tensor, save_bundle
 
 CATSPP = ["--set", "model=catspp", "--set", "grid.h=8", "--set", "grid.w=8"]
 
@@ -103,7 +105,6 @@ class TestTrainEval:
         assert main(["train", "--data", workdir["data"], "--out", ck2,
                      "--resume", workdir["ck"], "--set", "train.steps=6",
                      "--set", "train.lr_aggregator=1e-3", *CATSPP]) == 0
-        from catagg.tensor_io import load_bundle
         _, meta = load_bundle(ck2)
         assert meta["step"] == 6
 
@@ -175,6 +176,51 @@ class TestInfer:
             assert float(fields["pck@0.1"]) == pytest.approx(expect, abs=1e-12)
 
 
+class TestCorruptInput:
+    @pytest.mark.parametrize("shape", [(2**31, 2**31, 2**31), (2**20, 2**20)],
+                             ids=["count-wraps", "claim-exceeds-file"])
+    def test_bad_tensor_header_infer_error(self, workdir, tmp_path, capsys,
+                                           shape):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(workdir["data"]), data)
+        header = b"CATT" + struct.pack(f"<BB{len(shape)}I", 0, len(shape),
+                                       *shape)
+        (data / "src_0000.catt").write_bytes(header + bytes(64))
+        code = main(["infer", "--data", str(data / "manifest.txt"),
+                     "--checkpoint", workdir["ck"],
+                     "--out", str(tmp_path / "preds"), *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: truncated tensor file: [^\n]*\n", err)
+
+    @pytest.mark.parametrize("field,value", [
+        ("step", None), ("rng", None), ("step", "abc"), ("step", -1),
+        ("rng", {"bit_generator": "MT19937"}), ("rng", [1, 2])],
+        ids=["no-step", "no-rng", "text-step", "negative-step",
+             "foreign-rng", "list-rng"])
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_bad_checkpoint_metadata_error(self, workdir, tmp_path, capsys,
+                                           field, value, command):
+        arrays, meta = load_bundle(workdir["ck"])
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        ck = str(tmp_path / "bad.catb")
+        save_bundle(ck, arrays, meta)
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--checkpoint", ck, "--report", str(out)]
+        else:
+            argv = ["train", "--resume", ck, "--out", str(out),
+                    "--set", "train.steps=6"]
+        code = main([*argv, "--data", workdir["data"], *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(rf"error: checkpoint {field} [^\n]*\n", err)
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_single_op(self, capsys):
         assert main(["gradcheck", "--ops", "softmax"]) == 0
@@ -183,6 +229,15 @@ class TestGradcheckCommand:
 
     def test_unknown_op_usage_error(self):
         assert main(["gradcheck", "--ops", "frobnicate"]) == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_usage_error(self, capsys, seeds):
+        code = main(["gradcheck", "--ops", "softmax", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert re.search(r"^usage error: --seeds must be >= 1", captured.err,
+                         re.M)
+        assert "pass" not in captured.out
 
 
 class TestBenchCommand:
@@ -269,6 +324,26 @@ class TestIntegerRange:
                          err, re.M)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestModelShape:
+    @pytest.mark.parametrize("sets,message", [
+        (["catspp.embed.kernel=4"], "catspp.embed.kernel: must be odd"),
+        (["catspp.proj_kernel=4"], "catspp.proj_kernel: must be odd"),
+        (["catspp.ffn_kernel=4"], "catspp.ffn_kernel: must be odd"),
+        (["layers=5,5"], "layers must be distinct"),
+        (["model=cats", "layers=4,4"], "layers must be distinct")])
+    def test_unrunnable_model_usage_error(self, workdir, tmp_path, capsys,
+                                          sets, message):
+        ck = tmp_path / "ck.catb"
+        code = main(["train", "--data", workdir["data"], "--out", str(ck),
+                     "--set", "train.steps=1", *CATSPP,
+                     *[a for s in sets for a in ("--set", s)]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.search(rf"^usage error: {re.escape(message)}", err, re.M)
+        assert "Traceback" not in err
+        assert not ck.exists()
 
 
 class TestFloatRange:

@@ -78,6 +78,12 @@ class TestTyping:
         with pytest.raises(ConfigError):
             RunConfig.load(None, sets=["train.steps=1.5"])
 
+    def test_kernels_odd(self):
+        cfg = RunConfig.load(None, sets=["catspp.ffn_kernel=5"])
+        assert cfg["catspp.ffn_kernel"] == 5
+        with pytest.raises(ConfigError, match="catspp.proj_kernel: must be odd"):
+            cfg.set("catspp.proj_kernel", 2)
+
     def test_choice_enforced(self):
         with pytest.raises(ConfigError):
             RunConfig.load(None, sets=["model=resnet"])
@@ -100,6 +106,8 @@ class TestTypedViews:
             RunConfig.load(None, sets=["layers=2,9"]).layers()
         with pytest.raises(ConfigError):
             RunConfig.load(None, sets=["layers=abc"]).layers()
+        with pytest.raises(ConfigError, match="distinct"):
+            RunConfig.load(None, sets=["layers=4,5,4"]).layers()
 
     def test_alphas(self):
         assert RunConfig().alphas() == (0.05, 0.1, 0.15)
@@ -143,6 +151,6 @@ class TestDataclassDefaults:
         # every field default equals the value RunConfig() resolves for it
         assert RunConfig().train_config() == TrainConfig()
         assert RunConfig().build_model().cfg == CatsConfig()
-        agg = RunConfig({"model": "catspp"}).build_model().agg
+        agg = RunConfig.load(None, sets=["model=catspp"]).build_model().agg
         assert agg.embed_cfg == EmbedConfig()
         assert agg.eff == EfficientConfig()

@@ -1,12 +1,22 @@
+import io
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catagg import tensor_io
 from catagg.errors import ArgumentError, CheckpointError, StateError
 from catagg.params import ParamStore
-from catagg.tensor_io import load_bundle, load_tensor, save_bundle, save_tensor
+from catagg.tensor_io import (load_bundle, load_tensor, read_tensor,
+                              save_bundle, save_tensor)
+
+
+def _header(shape, tag=0, magic=b"CATT"):
+    return magic + struct.pack(f"<BB{len(shape)}I", tag, len(shape), *shape)
 
 
 def test_tensor_roundtrip_f32(tmp_path):
@@ -85,7 +95,10 @@ def test_bundle_version_mismatch(tmp_path):
         load_bundle(p)
 
 
-@pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+@pytest.mark.parametrize("blob", [
+    b"{not json", b"\xff\xfe", b"[1, 2]",
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+    pytest.param(b"1" * 5000, id="long-integer")])
 def test_bundle_bad_metadata_rejected(tmp_path, blob):
     p = tmp_path / "m.catb"
     save_bundle(p, {}, {})
@@ -102,6 +115,72 @@ def test_bundle_bad_record_name_rejected(tmp_path):
     p.write_bytes(p.read_bytes().replace(b"zz", b"\xff\xfe", 1))
     with pytest.raises(CheckpointError, match="record name"):
         load_bundle(p)
+
+
+def test_element_count_does_not_wrap():
+    # 2^93 elements: an int64 product wraps to 0 and the empty payload "fits"
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_tensor(io.BytesIO(_header((2**31, 2**31, 2**31))))
+
+
+def test_oversized_claim_refused_before_reading(tmp_path):
+    # 2^40 f32 elements: a file read of the claimed 4 TiB cannot be allocated
+    p = tmp_path / "huge.catt"
+    p.write_bytes(_header((2**20, 2**20)) + bytes(16))
+    with open(p, "rb") as f, pytest.raises(CheckpointError, match="truncated"):
+        read_tensor(f)
+
+
+_EXTENT = st.sampled_from([0, 1, 2, 3, 2**16, 2**31, 2**32 - 1]) | \
+    st.integers(0, 2**32 - 1)
+_TENSOR = st.one_of(
+    st.builds(lambda magic, tag, shape, payload:
+              _header(shape, tag, magic) + payload,
+              st.sampled_from([b"CATT", b"CATB", b"\0\0\0\0"]),
+              st.sampled_from([0, 1, 2, 255]),
+              st.lists(_EXTENT, max_size=8),
+              st.binary(max_size=64)),
+    st.binary(max_size=64))
+
+
+def _bundle(version, meta, records):
+    out = b"CATB" + struct.pack("<II", version, len(meta)) + meta
+    out += struct.pack("<I", len(records))
+    for name, tensor in records:
+        out += struct.pack("<H", len(name)) + name + tensor
+    return out
+
+
+_BUNDLE = st.one_of(
+    st.builds(_bundle, st.sampled_from([1, 2]),
+              st.sampled_from([b"{}", json.dumps({"step": 1}).encode(),
+                               b"[]", b"{", b"\xff"]),
+              st.lists(st.tuples(st.sampled_from([b"a", b"b", b"\xff"]),
+                                 _TENSOR), min_size=1, max_size=3)),
+    st.binary(max_size=96))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TENSOR)
+def test_fuzz_read_tensor_loads_or_refuses(raw):
+    try:
+        arr = read_tensor(io.BytesIO(raw))
+    except CheckpointError:
+        return
+    assert arr.dtype in (np.float32, np.float64)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_BUNDLE)
+def test_fuzz_load_bundle_loads_or_refuses(tmp_path, raw):
+    p = tmp_path / "fuzz.catb"
+    p.write_bytes(raw)
+    try:
+        arrays, meta = load_bundle(p)
+    except CheckpointError:
+        return
+    assert isinstance(meta, dict) and isinstance(arrays, dict)
 
 
 @pytest.mark.parametrize("save", [
