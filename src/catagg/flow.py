@@ -53,9 +53,10 @@ class KeypointSet:
                 f"keypoints must be [n, 2], got {self.points.shape}")
         h, w = self.extents
         x, y = self.points[:, 0], self.points[:, 1]
-        if np.any((x < 0) | (x >= w) | (y < 0) | (y >= h)):
+        # written so that NaN, for which every comparison is false, fails it
+        if not np.all((x >= 0) & (x < w) & (y >= 0) & (y < h)):
             raise ArgumentError(
-                f"keypoints must lie inside [0,{w})x[0,{h})")
+                f"keypoints must be finite and lie inside [0,{w})x[0,{h})")
 
     def __len__(self) -> int:
         return len(self.points)

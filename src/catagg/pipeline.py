@@ -363,6 +363,8 @@ def read_manifest(path) -> tuple[dict, list[DatasetEntry]]:
         except ValueError:
             raise ArgumentError(
                 f"{where}: seed {fields['seed']!r} is not an integer") from None
+        if seed < 0:
+            raise ArgumentError(f"{where}: seed {seed} is negative")
         entries.append(DatasetEntry(
             src=os.path.join(base, fields["src"]),
             tgt=os.path.join(base, fields["tgt"]),

@@ -19,7 +19,6 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionError, NumericError, StateError
 
@@ -371,20 +370,73 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.where(mask, x.data, 0), "relu", (x,), lambda g: (g * mask,))
 
 
+# Phi(-z) = exp(-z^2/2) * N(z) / D(z) below _GELU_CF_FROM, with Hart's (1968)
+# rational as given by West (2005), "Better approximations to cumulative
+# normal functions"; West's continued fraction takes the tail beyond it.
+_HART_N = (3.52624965998911e-02, 0.700383064443688, 6.37396220353165,
+           33.912866078383, 112.079291497871, 221.213596169931, 220.206867912376)
+_HART_D = (8.83883476483184e-02, 1.75566716318264, 16.064177579207,
+           86.7807322029461, 296.564248779674, 637.333633378831,
+           793.826512519948, 440.413735824752)
+_GELU_CF_FROM = 7.07106781186547
+_GELU_BLOCK = 1 << 15  # elements per block: keeps the scratch cache-sized
+
+
+def _horner(coeffs, z, acc):
+    np.multiply(z, coeffs[0], out=acc)
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[-1]
+    return acc
+
+
+def _gelu_block(x, out, dydx, z, e, q, d):
+    """x * Phi(x) of one flat block into `out`, and its derivative into
+    `dydx` unless None; z, e, q and d are scratch of x's size."""
+    np.abs(x, out=z)
+    np.minimum(z, 40.0, out=z)  # exp(-z^2/2) is 0 by then; z^2 stays finite
+    np.multiply(z, z, out=e)
+    e *= -0.5
+    np.exp(e, out=e)
+    _horner(_HART_N, z, q)
+    q *= e
+    q /= _horner(_HART_D, z, d)
+    if z.max() >= _GELU_CF_FROM:
+        far = np.flatnonzero(z >= _GELU_CF_FROM)
+        zf = z[far]
+        b = zf + 0.65
+        for k in (4.0, 3.0, 2.0, 1.0):
+            b = zf + k / b
+        q[far] = e[far] / b / math.sqrt(2.0 * math.pi)
+    # x * Phi(x) = max(x, 0) - z * Phi(-z): no cancellation for either sign
+    np.maximum(x, 0.0, out=out)
+    out -= np.multiply(z, q, out=d)
+    if dydx is not None:  # Phi(x) + x * phi(x)
+        np.multiply(x, e, out=dydx)
+        dydx *= 1.0 / math.sqrt(2.0 * math.pi)
+        np.subtract(0.5, q, out=d)
+        np.copysign(d, x, out=d)
+        d += 0.5
+        dydx += d
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF, computed in
+    x's dtype, block by block so that temporaries stay small."""
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
-    out = (xd * phi).astype(xd.dtype, copy=False)
-    if not (_grad_enabled() and x.requires_grad):
-        return _make(out, "gelu", (x,), None)
-    pdf = np.exp(-0.5 * xd * xd) / xd.dtype.type(math.sqrt(2.0 * math.pi))
-    dydx = phi + xd * pdf
-
-    def vjp(g):
-        return (g * dydx.astype(g.dtype),)
-
-    return _make(out, "gelu", (x,), vjp)
+    grad = _grad_enabled() and x.requires_grad
+    out = np.empty_like(xd)
+    dydx = np.empty_like(xd) if grad else None
+    flat, oflat = xd.reshape(-1), out.reshape(-1)
+    dflat = dydx.reshape(-1) if grad else None
+    scratch = [np.empty(min(_GELU_BLOCK, flat.size), dtype=xd.dtype) for _ in range(4)]
+    for i in range(0, flat.size, _GELU_BLOCK):
+        blk = slice(i, i + _GELU_BLOCK)
+        m = len(flat[blk])
+        _gelu_block(flat[blk], oflat[blk], dflat[blk] if grad else None,
+                    *(s[:m] for s in scratch))
+    return _make(out, "gelu", (x,), lambda g: (g * dydx,))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

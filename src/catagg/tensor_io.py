@@ -54,11 +54,16 @@ def atomic_write(path, mode: str = "wb"):
         raise
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
-    # a header may claim any size: refuse it before allocating for it
+def _stream_end(f: BinaryIO) -> int:
     pos = f.tell()
-    left = f.seek(0, os.SEEK_END) - pos
+    end = f.seek(0, os.SEEK_END)
     f.seek(pos)
+    return end
+
+
+def _read_exact(f: BinaryIO, n: int, end: int) -> bytes:
+    # a header may claim any size: refuse it before allocating for it
+    left = end - f.tell()
     if n > left:
         raise CheckpointError(f"truncated tensor file: wanted {n} bytes, got {left}")
     return f.read(n)
@@ -77,15 +82,19 @@ def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_tensor(f: BinaryIO) -> np.ndarray:
-    magic = _read_exact(f, 4)
+    return _read_tensor(f, _stream_end(f))
+
+
+def _read_tensor(f: BinaryIO, end: int) -> np.ndarray:
+    magic = _read_exact(f, 4, end)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; expected {MAGIC!r}")
-    tag, rank = struct.unpack("<BB", _read_exact(f, 2))
+    tag, rank = struct.unpack("<BB", _read_exact(f, 2, end))
     if tag not in _DTYPE_OF:
         raise CheckpointError(f"unknown dtype tag {tag}")
-    shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, end))
     dt = _DTYPE_OF[tag]
-    raw = _read_exact(f, math.prod(shape) * dt.itemsize)
+    raw = _read_exact(f, math.prod(shape) * dt.itemsize, end)
     try:
         arr = np.frombuffer(raw, dtype=dt).reshape(shape)
     except ValueError as e:  # an empty tensor whose extents numpy cannot hold
@@ -126,30 +135,31 @@ def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4)
+        end = _stream_end(f)
+        magic = _read_exact(f, 4, end)
         if magic != BUNDLE_MAGIC:
             raise CheckpointError(f"bad bundle magic {magic!r}; expected {BUNDLE_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, end))
         if version != BUNDLE_VERSION:
             raise CheckpointError(f"bundle version {version} unsupported (want {BUNDLE_VERSION})")
-        (mlen,) = struct.unpack("<I", _read_exact(f, 4))
+        (mlen,) = struct.unpack("<I", _read_exact(f, 4, end))
         try:
-            meta = json.loads(_read_exact(f, mlen).decode())
+            meta = json.loads(_read_exact(f, mlen, end).decode())
         except (ValueError, RecursionError) as e:  # bad UTF-8, JSON, depth
             raise CheckpointError(f"bundle metadata in {path} is not UTF-8 JSON: {e}") from None
         if not isinstance(meta, dict):
             raise CheckpointError(f"bundle metadata in {path} is not a JSON object")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, end))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(f, 2))
+            (nlen,) = struct.unpack("<H", _read_exact(f, 2, end))
             try:
-                name = _read_exact(f, nlen).decode()
+                name = _read_exact(f, nlen, end).decode()
             except UnicodeDecodeError:
                 raise CheckpointError(f"record name in {path} is not UTF-8") from None
             if name in arrays:
                 raise CheckpointError(f"duplicate record '{name}'")
-            arrays[name] = read_tensor(f)
+            arrays[name] = _read_tensor(f, end)
         if f.read(1):
             raise CheckpointError(f"trailing bytes after bundle in {path}")
         return arrays, meta

@@ -131,6 +131,23 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "ck.catb")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_manifest_seed_is_error(self, workdir, tmp_path, capsys,
+                                             command):
+        text = open(workdir["data"]).read()
+        man = tmp_path / "manifest.txt"
+        man.write_text(re.sub(r"seed=\d+", "seed=-1", text, count=1))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--out", str(out), "--set", "train.steps=1"]
+        else:
+            argv = ["eval", "--checkpoint", workdir["ck"], "--report", str(out)]
+        code = main([*argv, "--data", str(man), *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: manifest \S+ line \d+: seed -1 is negative\n", err)
+        assert not out.exists()
+
 
 class TestInfer:
     def test_flow_files_and_keypoints(self, workdir, tmp_path):
@@ -148,6 +165,18 @@ class TestInfer:
         body = open(os.path.join(out, "infer_manifest.txt")).read()
         assert "# model = catspp" in body
         assert "pair=0 flow=pred_flow_0000.catt kps=pred_kp_0000.txt" in body
+
+    def test_nan_keypoint_is_error(self, workdir, tmp_path, capsys):
+        kps = tmp_path / "kps.txt"
+        kps.write_text("128 128\n10.0 20.0\nnan 4\n")
+        out = tmp_path / "preds"
+        code = main(["infer", "--data", workdir["data"], "--checkpoint",
+                     workdir["ck"], "--out", str(out), "--keypoints", str(kps),
+                     *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: keypoints must be finite [^\n]*\n", err)
+        assert not out.exists()
 
     def test_external_pck_recomputation_matches_eval(self, workdir, tmp_path):
         # infer writes flows and moved keypoints; recomputing PCK from those
@@ -254,6 +283,13 @@ class TestBenchCommand:
             assert (int(vals[f"q{q}.efficient.peak_bytes"])
                     <= int(vals[f"q{q}.standard.peak_bytes"]))
         assert float(vals["forward_ms"]) > 0
+
+    def test_absurd_grid_is_error(self, capsys):
+        # the positional table alone would take 1 PiB: numpy refuses it at once
+        code = main(["bench", "--set", "grid.h=4096", "--set", "grid.w=4096"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.fullmatch(r"error: out of memory: [^\n]*\n", captured.err)
 
     def test_cats_params_only(self, capsys):
         assert main(["bench", "--model", "cats"]) == 0

@@ -1,7 +1,11 @@
-"""Every module under src/ and tests/ uses each name it imports, and
-modules under src/ import only at module top level."""
+"""Every module under src/ and tests/ uses each name it imports, modules
+under src/ import only at module top level, and the CLI runs on numpy
+alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +53,13 @@ def test_src_imports_only_at_top_level():
         nested += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert nested == []
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the tests use it as an oracle
+    code = ("import sys, catagg.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

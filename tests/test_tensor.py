@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -146,6 +147,63 @@ def test_gelu_values():
     out = T.gelu(T.Tensor([0.0, 1.0], dtype=np.float64))
     assert out.data[0] == 0.0
     np.testing.assert_allclose(out.data[1], 0.8413447460685429, atol=1e-12)
+
+
+def _gelu_reference(x):
+    """f64 x * Phi(x) and its derivative from math.erfc, which keeps the far
+    negative tail that 1 + erf(x / sqrt 2) would cancel to zero."""
+    x = np.asarray(x, dtype=np.float64)
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.ravel()]).reshape(x.shape)
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return x * phi, phi + x * pdf
+
+
+def _gelu_with_grad(x):
+    t = T.Tensor(x, requires_grad=True)
+    y = T.gelu(t)
+    T.backward(T.tsum(y))
+    return y.data, t.grad
+
+
+def test_gelu_accuracy_against_erfc():
+    x = np.linspace(-14.0, 14.0, 200_001)
+    want, dwant = _gelu_reference(x)
+    x32 = x.astype(np.float32)
+    y32, d32 = _gelu_with_grad(x32)
+    assert y32.dtype == d32.dtype == np.float32
+    ref32, dref32 = _gelu_reference(x32)
+    assert np.abs(y32 - ref32).max() <= 3e-7
+    assert np.abs(d32 - dref32).max() <= 2e-7
+    # the negative tail is kept, not flushed to zero: every f32 output lies
+    # within 128 units in the last place of the exact value
+    ulp = np.spacing(np.abs(ref32).astype(np.float32)).astype(np.float64)
+    assert (np.abs(y32 - ref32) / ulp).max() <= 128
+    y64, d64 = _gelu_with_grad(x)
+    assert np.abs(y64 - want).max() <= 4e-15
+    assert np.abs(d64 - dwant).max() <= 4e-15
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_special_values(dtype):
+    out = T.gelu(T.Tensor([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)).data
+    assert out[0] == 0.0 and out[1] == 0.0 and out[2] == np.inf
+    assert out[3] == 0.0 and np.isnan(out[4])
+    assert T.gelu(T.Tensor(np.zeros((0, 3)), dtype=dtype)).shape == (0, 3)
+    scalar = T.gelu(T.Tensor(dtype(1.0), dtype=dtype))  # stored as shape (1,)
+    assert scalar.size == 1 and scalar.data.dtype == dtype
+    np.testing.assert_allclose(scalar.data, _gelu_reference(1.0)[0], rtol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_blocks_equal_slices(dtype):
+    # 2 blocks + 3 elements, wide enough to reach the continued-fraction tail
+    # in every block: the seams must not change a bit of output or gradient
+    n = 2 * T._GELU_BLOCK + 3
+    x = np.random.default_rng(3).uniform(-12.0, 12.0, size=n).astype(dtype)
+    y, d = _gelu_with_grad(x)
+    parts = [_gelu_with_grad(x[i:i + 1000]) for i in range(0, n, 1000)]
+    np.testing.assert_array_equal(y, np.concatenate([p[0] for p in parts]))
+    np.testing.assert_array_equal(d, np.concatenate([p[1] for p in parts]))
 
 
 def test_backward_sum_gives_ones():
