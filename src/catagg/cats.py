@@ -137,12 +137,15 @@ class CatsAggregator:
         return tt.linear(merged, self._p(f"{base}.wo"), self._p(f"{base}.bo"))
 
     def _block(self, x: Tensor, base: str, pos: Tensor | None) -> Tensor:
-        """Pre-LN encoder block: attention then FFN, residual around each."""
+        """Pre-LN encoder block: attention then FFN, residual around each.
+        Locals are released once dead, so a no_grad pass does not hold them."""
         h = tt.add(x, pos) if pos is not None else x
         zn = tt.layer_norm(h, self._p(f"{base}.ln1g"), self._p(f"{base}.ln1b"))
         z = tt.add(self._mha(zn, base), h)
+        del h, zn
         xn = tt.layer_norm(z, self._p(f"{base}.ln2g"), self._p(f"{base}.ln2b"))
         inner = tt.gelu(tt.linear(xn, self._p(f"{base}.ffn_w1"), self._p(f"{base}.ffn_b1")))
+        del xn
         ffn = tt.linear(inner, self._p(f"{base}.ffn_w2"), self._p(f"{base}.ffn_b2"))
         return tt.add(ffn, z)
 
@@ -151,8 +154,7 @@ class CatsAggregator:
         hw = self.cfg.hw
         if maps.shape[1] != hw or maps.shape[2] != hw:
             raise DimensionError(f"stack {maps.shape} does not match hw={hw}")
-        aug = tt.concat([maps, self._appearance(feats)], axis=2)
-        x = aug
+        x = tt.concat([maps, self._appearance(feats)], axis=2)
         pos = self._p("pos")
         for e in range(self.cfg.n_encoders):
             x = self._block(x, f"enc{e}.intra", pos)

@@ -183,6 +183,8 @@ class CatsPPAggregator:
                          self._p(f"{base}.{proj}.w"), self._p(f"{base}.{proj}.b"))
 
     def _encoder(self, m: Tensor, app: Tensor, q: int, e: int) -> Tensor:
+        """One attention round on the volume; locals are released once dead,
+        so a no_grad pass does not hold them."""
         base = f"q{q}.enc{e}"
         hs, ws, ht, wt, d = m.shape
         mn = tt.layer_norm(m, self._p(f"{base}.ln_in.g"), self._p(f"{base}.ln_in.b"))
@@ -190,11 +192,15 @@ class CatsPPAggregator:
         qmat = tt.add(self._qk_branch(mn, "qq", base, app), pos)
         kmat = tt.add(self._qk_branch(mn, "kk", base, app), pos)
         vconv = tt.add(conv4d(mn, self._p(f"{base}.qv.k")), self._p(f"{base}.qv.b"))
+        del mn
         vnorm = tt.layer_norm(vconv, self._p(f"{base}.ln_v.g"), self._p(f"{base}.ln_v.b"))
+        del vconv
         vmat = self._tokens_last_pair(vnorm)
+        del vnorm
         zhat = tt.attention(qmat, kmat, vmat)
-        vol = tt.transpose(tt.reshape(zhat, (ht, wt, hs, ws, d)), (2, 3, 0, 1, 4))
-        z = tt.add(vol, m)
+        del qmat, kmat, vmat
+        z = tt.add(tt.transpose(tt.reshape(zhat, (ht, wt, hs, ws, d)), (2, 3, 0, 1, 4)), m)
+        del zhat
         return self.volumetric_ffn(z, q, e)
 
     def volumetric_ffn(self, z: Tensor, q: int, e: int = 0) -> Tensor:
@@ -202,7 +208,9 @@ class CatsPPAggregator:
         base = f"q{q}.enc{e}"
         xn = tt.layer_norm(z, self._p(f"{base}.ffn_ln.g"), self._p(f"{base}.ffn_ln.b"))
         h1 = tt.gelu(tt.add(conv4d(xn, self._p(f"{base}.f1.k")), self._p(f"{base}.f1.b")))
+        del xn
         x2 = tt.add(conv4d(h1, self._p(f"{base}.f2.k")), self._p(f"{base}.f2.b"))
+        del h1
         return tt.add(x2, z)
 
     def _appearance(self, feat: FeatureMap, q: int, grid: tuple[int, int]) -> Tensor:

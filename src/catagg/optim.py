@@ -53,12 +53,22 @@ class AdamW:
         return cosine_lr(self._group_lr(name), self.step_count, self.total_steps)
 
     def step(self):
-        """One update from the gradients currently held by the store."""
+        """One update from the gradients currently held by the store.
+
+        Every stage runs in place through scratch buffers sized to the
+        largest gradient, in the order of the textbook form. The last stage,
+        p - lr * update, runs in lr's precision (f64 under the cosine
+        schedule) and rounds back into the parameter.
+        """
         self.step_count += 1
         t = self.step_count
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
+        size = max((p.grad.size for _, p in self.store.items() if p.grad is not None),
+                   default=0)
+        scratch = [np.empty(size, dtype=dt)
+                   for dt in (self.store.dtype, self.store.dtype, np.float64)]
         for name, p in self.store.items():
             g = p.grad
             if g is None:
@@ -66,14 +76,23 @@ class AdamW:
             lr = cosine_lr(self._group_lr(name), t - 1, self.total_steps)
             m = self.m[name]
             v = self.v[name]
+            update, tmp, wide = (b[:g.size].reshape(g.shape) for b in scratch)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=tmp)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + eps)
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            np.divide(m, c1, out=update)
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data[...] = p.data - lr * update
+                update += np.multiply(p.data, self.weight_decay, out=tmp)
+            np.multiply(update, lr, out=wide)
+            np.subtract(p.data, wide, out=wide)
+            p.data[...] = wide
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

@@ -337,15 +337,77 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
+_ATTN_BLOCK = 1 << 21  # logits bytes per attention block: about one core's L2
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q @ kᵀ / sqrt(d)) @ v over the last two axes, d = q.shape[-1]."""
-    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    logits = scale(matmul(q, transpose(k, swap)), q.shape[-1] ** -0.5)
-    return matmul(softmax(logits, axis=-1), v)
+    """softmax(q @ kᵀ / sqrt(d)) @ v over the last two axes, d = q.shape[-1].
+
+    One recorded op. The leading axes are walked in blocks whose logits fit
+    in `_ATTN_BLOCK` bytes, and the VJP recomputes each block's
+    probabilities instead of keeping them, so neither pass holds the full
+    [..., Tq, Tk] logits. Both passes run the numpy operations of transpose,
+    matmul, scale, softmax and matmul in the same order, bit for bit.
+    """
+    _check_same_dtype(q, k, v)
+    if not q.ndim == k.ndim == v.ndim >= 2:
+        raise DimensionError(f"attention: ranks {q.shape}, {k.shape}, {v.shape}")
+    lead = q.shape[:-2]
+    if k.shape[:-2] != lead or v.shape[:-2] != lead:
+        raise DimensionError(f"attention: lead extents {q.shape}, {k.shape}, {v.shape}")
+    (tq, d), (tk, dv) = q.shape[-2:], v.shape[-2:]
+    if k.shape[-2:] != (tk, d):
+        raise DimensionError(f"attention: k {k.shape} does not match q {q.shape}, v {v.shape}")
+    if d == 0 or tk == 0:
+        raise DimensionError(f"attention: empty feature or token axis in k {k.shape}")
+    n = math.prod(lead)
+    qd, vd = q.data.reshape(n, tq, d), v.data.reshape(n, tk, dv)
+    kt = np.ascontiguousarray(k.data.reshape(n, tk, d).transpose(0, 2, 1))
+    s = q.data.dtype.type(d ** -0.5)
+    step = max(1, _ATTN_BLOCK // max(1, tq * tk * q.data.itemsize))
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
+
+    def probs(blk):
+        p = qd[blk] @ kt[blk]
+        p *= s
+        return _softmax_into(p, p, -1)
+
+    out = np.empty(lead + (tq, dv), dtype=qd.dtype)
+    out3 = out.reshape(n, tq, dv)
+    for blk in blocks:
+        np.matmul(probs(blk), vd[blk], out=out3[blk])
+
+    def vjp(g):
+        g = g.reshape(n, tq, dv)
+        gq = np.empty(lead + (tq, d), dtype=qd.dtype)
+        gkt = np.empty(lead + (d, tk), dtype=qd.dtype)
+        gv = np.empty(lead + (tk, dv), dtype=qd.dtype)
+        gq3, gkt3, gv3 = gq.reshape(n, tq, d), gkt.reshape(n, d, tk), gv.reshape(n, tk, dv)
+        for blk in blocks:
+            p = probs(blk)
+            gp = g[blk] @ vd[blk].swapaxes(-1, -2)
+            np.matmul(p.swapaxes(-1, -2), g[blk], out=gv3[blk])
+            dot = (gp * p).sum(axis=-1, keepdims=True)
+            gp -= dot
+            gp *= p  # the softmax VJP, p * (gp - dot)
+            gp *= s
+            np.matmul(gp, kt[blk].swapaxes(-1, -2), out=gq3[blk])
+            np.matmul(qd[blk].swapaxes(-1, -2), gp, out=gkt3[blk])
+        return gq, gkt.swapaxes(-1, -2), gv
+
+    return _make(out, "attention", (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
+
+
+def _softmax_into(src: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of `src` along `axis`, written into `out` (which may be `src`)."""
+    np.subtract(src, src.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -354,9 +416,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         raise DimensionError(f"softmax: axis {axis} out of range for {x.shape}")
     if x.shape[ax] == 0:
         raise DimensionError("softmax over empty axis")
-    out = np.subtract(x.data, x.data.max(axis=ax, keepdims=True))
-    np.exp(out, out=out)
-    out /= out.sum(axis=ax, keepdims=True)
+    out = _softmax_into(x.data, np.empty_like(x.data), ax)
 
     def vjp(g):
         dot = (g * out).sum(axis=ax, keepdims=True)

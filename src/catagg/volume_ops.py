@@ -129,7 +129,7 @@ def _resize_axes(x: Tensor, targets: dict[int, int], op_name: str) -> Tensor:
     return _make(out, op_name, (x,), vjp)
 
 
-def upsample4d_bilinear(x: Tensor, factor: int = 2) -> Tensor:
+def upsample4d_bilinear(x: Tensor, factor: int) -> Tensor:
     """Separable bilinear upsampling of all four spatial axes of a volume."""
     if x.ndim != 5:
         raise DimensionError(f"upsample4d: input must be rank 5, got {x.shape}")

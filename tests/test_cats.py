@@ -150,14 +150,14 @@ def test_single_token_attention_weight_is_one(monkeypatch):
     rng = np.random.default_rng(4)
     _, store, agg, *_ = _setup(rng)
     captured = []
-    real = T.softmax
+    real = T._softmax_into
 
-    def spy(x, axis):
-        out = real(x, axis)
-        captured.append(out.data.copy())
+    def spy(src, out, axis):
+        out = real(src, out, axis)
+        captured.append(out.copy())
         return out
 
-    monkeypatch.setattr(T, "softmax", spy)
+    monkeypatch.setattr(T, "_softmax_into", spy)
     z = Tensor(rng.normal(size=(1, 1, agg.cfg.feat)).astype(np.float32))
     agg._mha(z, "enc0.intra")
     assert captured and np.all(captured[0] == 1.0)
@@ -169,14 +169,14 @@ def test_attention_rows_sum_to_one_at_every_site(monkeypatch):
                                           mode="both")
     _randomize(store, rng)
     sums = []
-    real = T.softmax
+    real = T._softmax_into
 
-    def spy(x, axis):
-        out = real(x, axis)
-        sums.append(out.data.sum(axis=-1).reshape(-1))
+    def spy(src, out, axis):
+        out = real(src, out, axis)
+        sums.append(out.sum(axis=-1).reshape(-1))
         return out
 
-    monkeypatch.setattr(T, "softmax", spy)
+    monkeypatch.setattr(T, "_softmax_into", spy)
     agg.aggregate(stack, fs, ft)
     assert len(sums) >= 8  # 2 blocks x 2 passes x 2 modes
     for s in sums:

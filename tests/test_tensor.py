@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -325,6 +326,102 @@ def test_attention_matches_numpy(lead):
     got = T.attention(*(T.Tensor(a, dtype=np.float64) for a in (q, k, v)))
     assert got.shape == lead + (5, 3)
     np.testing.assert_allclose(got.data, _numpy_attention(q, k, v), rtol=1e-12, atol=1e-12)
+
+
+def _composed_attention(q, k, v):
+    # the five recorded ops that attention is one node for
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    logits = T.scale(T.matmul(q, T.transpose(k, swap)), q.shape[-1] ** -0.5)
+    return T.matmul(T.softmax(logits, axis=-1), v)
+
+
+def _attention_and_grads(fn, q, k, v, w):
+    ts = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = fn(*ts)
+    # a head merge, as in cats, hands the VJP a strided gradient
+    merged = T.transpose(out, (0, 2, 1, 3)) if out.ndim == 4 else out
+    T.backward(T.tsum(T.mul(merged, T.Tensor(w))))
+    return [out.data] + [t.grad for t in ts]
+
+
+def _attention_inputs(rng, lead, tq, tk, d, dv):
+    q, k, v = (rng.normal(size=lead + s).astype(np.float32)
+               for s in ((tq, d), (tk, d), (tk, dv)))
+    out_shape = lead + (tq, dv)
+    if len(out_shape) == 4:
+        out_shape = (out_shape[0], out_shape[2], out_shape[1], out_shape[3])
+    return q, k, v, rng.normal(size=out_shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("lead, tq, tk, d, dv", [
+    ((), 64, 64, 32, 128),      # catspp's 2-D token attention
+    ((4, 8), 256, 256, 36, 36),  # cats intra: several blocks
+    ((256, 8), 4, 4, 36, 36),    # cats inter: one block
+])
+def test_attention_bits_equal_composed_ops(lead, tq, tk, d, dv):
+    q, k, v, w = _attention_inputs(np.random.default_rng(12), lead, tq, tk, d, dv)
+    got = _attention_and_grads(T.attention, q, k, v, w)
+    want = _attention_and_grads(_composed_attention, q, k, v, w)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        assert a.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("lead, per_block", [((4, 2), 1), ((9,), 4)])
+def test_attention_blocking_never_changes_bits(monkeypatch, lead, per_block):
+    q, k, v, w = _attention_inputs(np.random.default_rng(13), lead, 6, 7, 5, 3)
+    monkeypatch.setattr(T, "_ATTN_BLOCK", 1 << 40)
+    whole = _attention_and_grads(T.attention, q, k, v, w)
+    monkeypatch.setattr(T, "_ATTN_BLOCK", per_block * 6 * 7 * 4)
+    blocked = _attention_and_grads(T.attention, q, k, v, w)
+    for a, b in zip(blocked, whole):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_attention_no_grad_peak_is_below_one_logits_array():
+    rng = np.random.default_rng(14)
+    q, k, v = (T.Tensor(rng.normal(size=(4, 8, 256, 36)).astype(np.float32))
+               for _ in range(3))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            T.attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 256 * 256 * 4
+
+
+def test_attention_vjp_holds_no_logits():
+    rng = np.random.default_rng(15)
+    q, k, v = (T.Tensor(rng.normal(size=(2, 3) + s), requires_grad=True)
+               for s in ((12, 4), (16, 4), (16, 5)))
+    out = T.attention(q, k, v)
+    held = [c.cell_contents for c in out._node.vjp.__closure__]
+    shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+    assert shapes
+    assert not any(s[-2:] == (12, 16) for s in shapes)
+
+
+@pytest.mark.parametrize("q, k, v", [
+    ((5, 4), (2, 6, 4), (2, 6, 3)),        # ranks differ
+    ((4,), (4,), (4,)),                    # rank 1
+    ((2, 5, 4), (3, 6, 4), (3, 6, 3)),     # lead extents differ
+    ((2, 5, 4), (2, 6, 4), (3, 6, 3)),
+    ((5, 4), (6, 3), (6, 3)),              # feature extents differ
+    ((5, 4), (6, 4), (7, 3)),              # token extents differ
+    ((5, 0), (6, 0), (6, 3)),              # empty feature axis
+    ((5, 4), (0, 4), (0, 3)),              # no tokens to attend to
+])
+def test_attention_rejects_bad_shapes(q, k, v):
+    with pytest.raises(DimensionError):
+        T.attention(*(T.Tensor(np.zeros(s)) for s in (q, k, v)))
+
+
+def test_attention_rejects_mixed_dtypes():
+    q, k, v = (np.zeros(s) for s in ((5, 4), (6, 4), (6, 3)))
+    with pytest.raises(DimensionError):
+        T.attention(T.Tensor(q), T.Tensor(k, dtype=np.float32), T.Tensor(v))
 
 
 @pytest.mark.parametrize("op", ["matmul", "softmax", "attention", "layer_norm", "gelu",
