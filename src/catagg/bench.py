@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .correlation import FeatureMap
 from .flow import aepe
 from .model import CatsPPModel
 from .params import ParamStore
-from .tensor import MEM, Tensor
+from .tensor import Tensor
 
 __all__ = ["standard_block_params", "efficient_block_params",
            "matched_dims", "StandardBlock", "peak_forward_bytes",
@@ -95,21 +96,25 @@ class StandardBlock:
 
 
 def peak_forward_bytes(fn) -> int:
-    """Peak live tensor bytes allocated while fn() runs under no_grad.
+    """`tracemalloc` peak above the starting level while fn() runs under
+    no_grad: tensor buffers, op temporaries and padded copies alike.
 
-    `MEM` counts live `Tensor` buffers only, not arrays that VJP closures
-    captured, so the figure is meaningful here, with nothing recorded, and
-    not for a train step.
+    A tracer the caller started keeps running (its peak is reset); otherwise
+    one is started for the call and stopped after it.
     """
     gc.collect()
-    MEM.reset_peak()
-    base = MEM.current
-    with tt.no_grad():
-        fn()
-    gc.collect()
-    peak = MEM.peak
-    MEM.reset_peak()
-    return peak - base
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with tt.no_grad():
+            fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def compare_blocks(model: CatsPPModel, q: int) -> dict:

@@ -155,6 +155,7 @@ class CatsAggregator:
         if maps.shape[1] != hw or maps.shape[2] != hw:
             raise DimensionError(f"stack {maps.shape} does not match hw={hw}")
         x = tt.concat([maps, self._appearance(feats)], axis=2)
+        del maps  # a stack the caller passed as a temporary dies here, not after the encoders
         pos = self._p("pos")
         for e in range(self.cfg.n_encoders):
             x = self._block(x, f"enc{e}.intra", pos)
@@ -188,6 +189,7 @@ class CatsAggregator:
     def _serial(self, c_src: Tensor, fs, ft) -> Tensor:
         c_tgt = tt.transpose(c_src, (0, 2, 1))
         s = tt.add(self.transform(c_tgt, ft), c_tgt)
+        del c_tgt
         return tt.add(self.transform(tt.transpose(s, (0, 2, 1)), fs), c_src)
 
     def _parallel(self, c_src: Tensor, fs, ft) -> Tensor:

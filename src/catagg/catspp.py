@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as tt
-from .correlation import FeatureMap, Hypercorrelation, resize_features
+from .correlation import FeatureMap, Hypercorrelation, resize_features, swap_vol
 from .errors import ArgumentError, ConfigError, DimensionError
 from .params import ParamStore
 from .tensor import Tensor
@@ -257,12 +257,8 @@ class CatsPPAggregator:
         ds = _layer_feature(feats_s, q)
         dt = _layer_feature(feats_t, q)
         a = self.efficient_block(m, dt, q)
-        b = self.efficient_block(_swap_vol(m), ds, q)
-        return tt.scale(tt.add(a, _swap_vol(b)), 0.5)
-
-
-def _swap_vol(v: Tensor) -> Tensor:
-    return tt.transpose(v, (2, 3, 0, 1, 4))
+        b = self.efficient_block(swap_vol(m), ds, q)
+        return tt.scale(tt.add(a, swap_vol(b)), 0.5)
 
 
 def _layer_feature(feats: list[FeatureMap], q: int) -> FeatureMap:

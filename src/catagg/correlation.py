@@ -18,7 +18,7 @@ from .volume_ops import resize_bilinear2d
 __all__ = [
     "FeatureMap", "CorrelationStack", "Hypercorrelation",
     "cosine_correlation", "build_stack", "build_hypercorrelation",
-    "swap", "resize_features",
+    "swap", "swap_vol", "resize_features",
 ]
 
 SOURCE = "source"
@@ -170,7 +170,11 @@ def swap(c: CorrelationStack | Hypercorrelation):
         return CorrelationStack(
             maps=tt.transpose(c.maps, (0, 2, 1)), grid=c.grid, token_axis=flipped)
     if isinstance(c, Hypercorrelation):
-        return Hypercorrelation(
-            vol=tt.transpose(c.vol, (2, 3, 0, 1, 4)), layer=c.layer, levels=c.levels)
+        return Hypercorrelation(vol=swap_vol(c.vol), layer=c.layer, levels=c.levels)
     raise ArgumentError(f"swap: unsupported type {type(c).__name__}")
+
+
+def swap_vol(v: Tensor) -> Tensor:
+    """Swap the source and target axis pairs of a [hs, ws, ht, wt, c] volume."""
+    return tt.transpose(v, (2, 3, 0, 1, 4))
 

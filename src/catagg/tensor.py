@@ -62,9 +62,10 @@ def finite_check():
 class _MemMeter:
     """Tracks bytes held by live tensor buffers (views excluded).
 
-    A buffer counts while its `Tensor` lives. Arrays that VJP closures
-    captured outlive their tensors and are not counted, nor are op
-    temporaries, so the figure describes `no_grad` forwards, not train steps.
+    A buffer counts while its `Tensor` lives; arrays that VJP closures
+    captured and op temporaries are not counted. Its one reader is the
+    benchmark's traced one-step decomposition (`tensor.meter_peak_bytes`);
+    the package itself reports `tracemalloc` peaks.
     """
 
     def __init__(self):
@@ -182,48 +183,32 @@ def _check_same_dtype(*ts: Tensor):
 # elementwise / arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _binary(op: str, ufunc, a: Tensor, b: Tensor, vjp) -> Tensor:
+    """ufunc(a, b) under numpy broadcasting, recorded as `op`."""
     _check_same_dtype(a, b)
     try:
-        out = a.data + b.data
+        out = ufunc(a.data, b.data)
     except ValueError as e:
-        raise DimensionError(f"add: shapes {a.shape} vs {b.shape}") from e
+        raise DimensionError(f"{op}: shapes {a.shape} vs {b.shape}") from e
+    return _make(out, op, (a, b), vjp)
 
+
+def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
-
-    return _make(out, "add", (a, b), vjp)
+    return _binary("add", np.add, a, b,
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError as e:
-        raise DimensionError(f"sub: shapes {a.shape} vs {b.shape}") from e
-
     sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _make(out, "sub", (a, b), vjp)
+    return _binary("sub", np.subtract, a, b,
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    try:
-        out = a.data * b.data
-    except ValueError as e:
-        raise DimensionError(f"mul: shapes {a.shape} vs {b.shape}") from e
     ad, bd = a.data, b.data
-
-    def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _make(out, "mul", (a, b), vjp)
+    return _binary("mul", np.multiply, a, b,
+                   lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -236,13 +221,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """A view of a's buffer, which is contiguous like every tensor's."""
     shape = tuple(int(x) for x in shape)
     try:
         out = a.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(f"reshape {a.shape} -> {shape}") from e
     in_shape = a.shape
-    return _make(out.copy(), "reshape", (a,), lambda g: (g.reshape(in_shape),))
+    return _make(out, "reshape", (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:

@@ -1,5 +1,7 @@
 """Instrumentation: parameter formulas, matched dims, memory measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ class TestMemoryAndTime:
             lambda: tt.matmul(Tensor(np.zeros((64, 64), dtype=np.float32)),
                               Tensor(np.zeros((64, 64), dtype=np.float32))))
         assert 0 < small < big
+
+    @pytest.mark.parametrize("caller_traces", [False, True])
+    def test_peak_forward_bytes_counts_temporaries(self, caller_traces):
+        # a 4 MiB array that no Tensor holds; a caller's own tracer survives
+        was_tracing = tracemalloc.is_tracing()
+        if caller_traces and not was_tracing:
+            tracemalloc.start()
+        try:
+            peak = peak_forward_bytes(lambda: np.ones(1 << 20, np.float32))
+            assert tracemalloc.is_tracing() == (caller_traces or was_tracing)
+        finally:
+            if caller_traces and not was_tracing:
+                tracemalloc.stop()
+        assert peak >= 4 << 20
 
     def test_compare_blocks_memory(self):
         store, model = _model()

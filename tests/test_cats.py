@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -272,6 +274,25 @@ def test_passes_share_parameters():
     agg.transform = orig
     # serial then parallel: four transforms, all on the one parameter set
     assert len(seen) == 4 and all(p is seen[0] for p in seen)
+
+
+def test_serial_releases_first_pass_input_before_second_pass():
+    rng = np.random.default_rng(12)
+    _, store, agg, fs, ft, stack = _setup(rng, grid=(3, 3), p=3, n_heads=1)
+    refs, alive_at_second = [], []
+    orig = agg.transform
+
+    def spy(maps, feats):
+        if refs:
+            alive_at_second.append(refs[0]() is not None)
+        refs.append(weakref.ref(maps))
+        return orig(maps, feats)
+
+    agg.transform = spy
+    with T.no_grad():
+        agg.aggregate(stack, fs, ft)
+    agg.transform = orig
+    assert alive_at_second == [False]
 
 
 def test_heads_must_divide_token_extent():

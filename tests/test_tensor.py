@@ -275,6 +275,15 @@ def test_backward_frees_uncaptured_activations():
     np.testing.assert_array_equal(x.grad, 6.0 * np.ones(4))
 
 
+def test_reshape_is_a_view_with_unchanged_gradient():
+    x = T.Tensor(np.arange(6.0), dtype=np.float64, requires_grad=True)
+    y = T.reshape(x, (2, 3))
+    assert np.shares_memory(y.data, x.data)
+    w = T.Tensor(np.arange(6.0).reshape(2, 3) + 1.0, dtype=np.float64)
+    T.backward(T.tsum(T.mul(y, w)))
+    np.testing.assert_array_equal(x.grad, np.arange(6.0) + 1.0)
+
+
 def test_backward_twice_on_consumed_graph_is_error():
     x = T.Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
     loss = T.tsum(T.mul(x, x))
