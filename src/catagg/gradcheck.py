@@ -179,6 +179,14 @@ def _chk_conv4d_strided(rng):
     return [x, k], lambda: conv4d(x, k, stride=(2, 2, 1, 1))
 
 
+@_register("conv4d_embed")
+def _chk_conv4d_embed(rng):
+    # the folded last kernel axis and a stride on every axis, as catspp's embed
+    x = _t(rng, 3, 3, 3, 3, 2)
+    k = _t(rng, 3, 3, 3, 3, 2, 2)
+    return [x, k], lambda: conv4d(x, k, stride=(2, 2, 2, 2))
+
+
 @_register("upsample4d")
 def _chk_upsample(rng):
     x = _t(rng, 2, 2, 2, 2, 1)

@@ -43,6 +43,28 @@ def conv4d_oracle(x: np.ndarray, k: np.ndarray, stride=(1, 1, 1, 1)) -> np.ndarr
     return out
 
 
+def conv4d_vjp_oracle(x: np.ndarray, k: np.ndarray, g: np.ndarray,
+                      stride=(1, 1, 1, 1)) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dk) of sum(conv4d(x, k, stride) * g) by direct loops (f64):
+    every output position and kernel tap that reads an in-volume input
+    adds its outer product to dk and its k[tap] @ g to dx."""
+    x = x.astype(np.float64)
+    k = k.astype(np.float64)
+    g = g.astype(np.float64)
+    ns, ks, outs = x.shape[:4], k.shape[:4], g.shape[:4]
+    pads = [max((o - 1) * s + kk - n, 0) // 2
+            for n, kk, s, o in zip(ns, ks, stride, outs)]
+    dx = np.zeros_like(x)
+    dk = np.zeros_like(k)
+    for i in np.ndindex(*outs):
+        for t in np.ndindex(*ks):
+            p = tuple(ii * s + tt - pp for ii, s, tt, pp in zip(i, stride, t, pads))
+            if all(0 <= pj < n for pj, n in zip(p, ns)):
+                dk[t] += np.outer(x[p], g[i])
+                dx[p] += k[t] @ g[i]
+    return dx, dk
+
+
 def bilinear2d_oracle(img: np.ndarray, out_hw) -> np.ndarray:
     """Per-pixel half-pixel-center bilinear resize of an [h, w, ...] array."""
     h_in, w_in = img.shape[:2]

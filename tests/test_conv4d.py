@@ -1,14 +1,22 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from catagg import catspp, volume_ops
+from catagg import pipeline as pl
 from catagg import tensor as T
+from catagg.config import RunConfig
 from catagg.errors import DimensionError
 from catagg.gradcheck import check_op
+from catagg.synth import generate_pair
 from catagg.volume_ops import conv4d, interp_matrix, resize_bilinear2d, upsample4d_bilinear
 
-from oracles import bilinear2d_oracle, conv4d_oracle
+from oracles import bilinear2d_oracle, conv4d_oracle, conv4d_vjp_oracle
+
+VJP_STRIDES = [(1, 1, 1, 1), (2, 2, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (2, 1, 1, 2)]
 
 
 def test_pointwise_identity_kernel():
@@ -69,6 +77,96 @@ def test_even_kernel_rejected():
 def test_conv4d_gradcheck():
     assert check_op("conv4d", seeds=5) < 1e-4
     assert check_op("conv4d_strided", seeds=5) < 1e-4
+    assert check_op("conv4d_embed", seeds=5) < 1e-4
+
+
+def _conv_error(rng, ns, ks, cin, cout, stride) -> float:
+    """Max abs difference of conv4d's output, dx and dk from the f64 loop oracles."""
+    x = rng.normal(size=ns + (cin,))
+    k = rng.normal(size=ks + (cin, cout))
+    out = conv4d(T.Tensor(x, requires_grad=True), T.Tensor(k, requires_grad=True), stride)
+    g = rng.normal(size=out.shape)
+    dx, dk = out._node.vjp(g)
+    want_dx, want_dk = conv4d_vjp_oracle(x, k, g, stride)
+    return max(float(np.abs(out.data - conv4d_oracle(x, k, stride)).max()),
+               float(np.abs(dx - want_dx).max()), float(np.abs(dk - want_dk).max()))
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default_blocks", "one_row_blocks"])
+def test_vjp_sweep_against_nested_loop_oracle(monkeypatch, budget):
+    # output, dx and dk for extents 1-4, every per-axis mix of kernel extents
+    # 1 and 3 and five stride patterns; a 1-byte block budget makes every
+    # block one output row, so each block carries its halo over from the one
+    # before
+    if budget is not None:
+        monkeypatch.setattr(volume_ops, "_FOLD_BYTES", budget)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for stride in VJP_STRIDES:
+        for ks in itertools.product((1, 3), repeat=4):
+            ns = tuple(int(n) for n in rng.integers(1, 5, size=4))
+            cin, cout = (int(c) for c in rng.integers(1, 4, size=2))
+            worst = max(worst, _conv_error(rng, ns, ks, cin, cout, stride))
+    assert worst < 1e-9
+
+
+def test_vjp_matches_oracle_on_the_catspp_projection_shape():
+    # catspp's Q/K projection at layer 4: an 8^4 volume, a 3^4 kernel and
+    # stride (2, 2, 1, 1), here with 2 -> 3 channels
+    rng = np.random.default_rng(12)
+    assert _conv_error(rng, (8, 8, 8, 8), (3, 3, 3, 3), 2, 3, (2, 2, 1, 1)) < 1e-9
+
+
+def test_temporaries_stay_below_the_padded_input():
+    # an 8^4, 16 -> 8 conv: a zero-padded copy of its input alone would take
+    # 10^4 * 16 * 4 = 640,000 bytes; the forward's temporaries stay below it
+    # and the VJP's below two of it
+    rng = np.random.default_rng(1)
+    x = T.Tensor(rng.normal(size=(8, 8, 8, 8, 16)).astype(np.float32), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(3, 3, 3, 3, 16, 8)).astype(np.float32), requires_grad=True)
+    padded = 10**4 * 16 * 4
+    out = conv4d(x, k)
+    g = np.ones(out.shape, dtype=np.float32)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with T.no_grad():
+            y = conv4d(x, k)
+        forward = tracemalloc.get_traced_memory()[1] - base - y.data.nbytes
+        del y
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dx, dk = out._node.vjp(g)
+        backward = tracemalloc.get_traced_memory()[1] - base - dx.nbytes - dk.nbytes
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert forward < padded, forward
+    assert backward < 2 * padded, backward
+
+
+def test_cats_never_calls_conv4d(monkeypatch):
+    # one cats train step and one cats flow at the desk config run with conv4d
+    # raising, wherever a catagg module holds it
+    def refuse(*args, **kwargs):
+        raise AssertionError("cats called conv4d")
+
+    original = volume_ops.conv4d
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "catagg" and getattr(module, "conv4d", None) is original:
+            monkeypatch.setattr(module, "conv4d", refuse)
+    assert catspp.conv4d is refuse
+    cfg = RunConfig.load(None, sets=["model=cats"])
+    model = cfg.build_model()
+    pair = generate_pair(1000, grid=cfg.grid())
+    loss = pl.train_step(model, pl.make_optimizer(model, cfg.train_config()), [pair])
+    assert np.isfinite(loss)
+    with T.no_grad():
+        flow = model.flow(pair.source, pair.target)
+    assert np.isfinite(flow.grid.data).all()
 
 
 def test_backward_holds_no_padded_copy():
