@@ -91,8 +91,7 @@ class StandardBlock:
         ctx = tt.attention(qm, km, vm)
         x = tt.add(x, tt.linear(ctx, self._p("wo"), self._p("bo")))
         h = tt.layer_norm(x, self._p("ln2.g"), self._p("ln2.b"))
-        h = tt.gelu(tt.linear(h, self._p("ffn.w1"), self._p("ffn.b1")))
-        return tt.add(x, tt.linear(h, self._p("ffn.w2"), self._p("ffn.b2")))
+        return tt.add(x, tt.ffn(h, *(self._p(f"ffn.{nm}") for nm in ("w1", "b1", "w2", "b2"))))
 
 
 def peak_forward_bytes(fn) -> int:

@@ -144,9 +144,8 @@ class CatsAggregator:
         z = tt.add(self._mha(zn, base), h)
         del h, zn
         xn = tt.layer_norm(z, self._p(f"{base}.ln2g"), self._p(f"{base}.ln2b"))
-        inner = tt.gelu(tt.linear(xn, self._p(f"{base}.ffn_w1"), self._p(f"{base}.ffn_b1")))
+        ffn = tt.ffn(xn, *(self._p(f"{base}.ffn_{nm}") for nm in ("w1", "b1", "w2", "b2")))
         del xn
-        ffn = tt.linear(inner, self._p(f"{base}.ffn_w2"), self._p(f"{base}.ffn_b2"))
         return tt.add(ffn, z)
 
     def transform(self, maps: Tensor, feats: list[FeatureMap]) -> Tensor:

@@ -115,6 +115,13 @@ def _chk_linear(rng):
     return [x, w, b], lambda: tt.linear(x, w, b)
 
 
+@_register("ffn")
+def _chk_ffn(rng):
+    x, w1, b1 = _t(rng, 2, 3, 4), _t(rng, 4, 6), _t(rng, 6)
+    w2, b2 = _t(rng, 6, 3), _t(rng, 3)
+    return [x, w1, b1, w2, b2], lambda: tt.ffn(x, w1, b1, w2, b2)
+
+
 @_register("attention")
 def _chk_attention(rng):
     q, k, v = _t(rng, 2, 3, 4), _t(rng, 2, 5, 4), _t(rng, 2, 5, 3)

@@ -41,7 +41,6 @@ class ParamStore:
         else:
             raise ArgumentError(f"unknown init '{init}'")
         t = Tensor(data, requires_grad=True)
-        t.zero_grad()
         self._params[name] = t
         return t
 
@@ -71,6 +70,8 @@ class ParamStore:
         return sum(t.size for t in self._params.values())
 
     def zero_grad(self) -> None:
+        """Drop every gradient. A parameter gets one again from the next
+        backward that reaches it; `AdamW.step` skips the rest."""
         for t in self._params.values():
             t.zero_grad()
 

@@ -78,7 +78,12 @@ def _batch_loss(model, batch: list[SyntheticPair]) -> Tensor:
 
 
 def train_step(model, opt: AdamW, batch: list[SyntheticPair]) -> float:
-    """Forward, AEPE loss, backward, one optimizer update; returns the loss."""
+    """Forward, AEPE loss, backward, one optimizer update; returns the loss.
+
+    The last step's gradients are dropped first, so they are not held
+    while the forward builds its activations.
+    """
+    model.store.zero_grad()
     loss = _batch_loss(model, batch)
     value = loss.item()
     if not np.isfinite(value):
@@ -92,7 +97,6 @@ def train_step(model, opt: AdamW, batch: list[SyntheticPair]) -> float:
         raise NumericError(
             f"non-finite loss at step {opt.step_count + 1} "
             f"(not reproduced under finite_check)")
-    model.store.zero_grad()
     tt.backward(loss)
     opt.step()
     return value

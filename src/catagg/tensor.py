@@ -125,7 +125,9 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        """Drop the gradient; the next backward that reaches this tensor
+        writes a fresh one."""
+        self.grad = None
 
     def __repr__(self):
         op = "leaf" if self._node is None else self._node.op
@@ -439,7 +441,8 @@ def _horner(coeffs, z, acc):
 
 def _gelu_block(x, out, dydx, z, e, q, d):
     """x * Phi(x) of one flat block into `out`, and its derivative into
-    `dydx` unless None; z, e, q and d are scratch of x's size."""
+    `dydx` unless None; z, e, q and d are scratch of x's size. `out` may be
+    `x` when `dydx` is None, and `dydx` may be `x`."""
     np.abs(x, out=z)
     np.minimum(z, 40.0, out=z)  # exp(-z^2/2) is 0 by then; z^2 stays finite
     np.multiply(z, z, out=e)
@@ -458,31 +461,82 @@ def _gelu_block(x, out, dydx, z, e, q, d):
     # x * Phi(x) = max(x, 0) - z * Phi(-z): no cancellation for either sign
     np.maximum(x, 0.0, out=out)
     out -= np.multiply(z, q, out=d)
-    if dydx is not None:  # Phi(x) + x * phi(x)
-        np.multiply(x, e, out=dydx)
-        dydx *= 1.0 / math.sqrt(2.0 * math.pi)
+    if dydx is not None:  # Phi(x) + x * phi(x); x is read before dydx may overwrite it
         np.subtract(0.5, q, out=d)
         np.copysign(d, x, out=d)
         d += 0.5
+        np.multiply(x, e, out=dydx)
+        dydx *= 1.0 / math.sqrt(2.0 * math.pi)
         dydx += d
+
+
+def _gelu_into(x: np.ndarray, out: np.ndarray, dydx: np.ndarray | None):
+    """GELU of contiguous `x` into `out` (and its derivative into `dydx`),
+    block by block so that temporaries stay small; aliasing as `_gelu_block`."""
+    flat, oflat = x.reshape(-1), out.reshape(-1)
+    dflat = dydx.reshape(-1) if dydx is not None else None
+    scratch = [np.empty(min(_GELU_BLOCK, flat.size), dtype=x.dtype) for _ in range(4)]
+    for i in range(0, flat.size, _GELU_BLOCK):
+        blk = slice(i, i + _GELU_BLOCK)
+        m = len(flat[blk])
+        _gelu_block(flat[blk], oflat[blk], dflat[blk] if dflat is not None else None,
+                    *(s[:m] for s in scratch))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF, computed in
-    x's dtype, block by block so that temporaries stay small."""
+    x's dtype."""
     xd = x.data
-    grad = _grad_enabled() and x.requires_grad
     out = np.empty_like(xd)
-    dydx = np.empty_like(xd) if grad else None
-    flat, oflat = xd.reshape(-1), out.reshape(-1)
-    dflat = dydx.reshape(-1) if grad else None
-    scratch = [np.empty(min(_GELU_BLOCK, flat.size), dtype=xd.dtype) for _ in range(4)]
-    for i in range(0, flat.size, _GELU_BLOCK):
-        blk = slice(i, i + _GELU_BLOCK)
-        m = len(flat[blk])
-        _gelu_block(flat[blk], oflat[blk], dflat[blk] if grad else None,
-                    *(s[:m] for s in scratch))
-    return _make(out, "gelu", (x,), lambda g: (g * dydx,))
+    dydx = np.empty_like(xd) if _grad_enabled() and x.requires_grad else None
+    _gelu_into(xd, out, dydx)
+    # the graph is consumed once, so the VJP may write into dydx
+    return _make(out, "gelu", (x,), lambda g: (np.multiply(g, dydx, out=dydx),))
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one recorded op.
+
+    x's leading axes fold into one row axis, so each product is a single 2-D
+    GEMM, as in `matmul`'s shared-weight branch. The hidden buffer is reused:
+    the bias is added in place, gelu writes its derivative over it (or, under
+    no_grad, its output), and the VJP multiplies the hidden gradient into it.
+    The node keeps x, the gelu output and its derivative and no other
+    hidden-sized array. Every result is bit for bit that of linear, gelu,
+    linear.
+    """
+    _check_same_dtype(x, w1, b1, w2, b2)
+    if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2:
+        raise DimensionError(f"ffn: ranks {x.shape}, {w1.shape}, {w2.shape}")
+    (k, m), n = w1.shape, w2.shape[1]
+    if x.shape[-1] != k or w2.shape[0] != m or b1.shape != (m,) or b2.shape != (n,):
+        raise DimensionError(f"ffn: extents {x.shape}, {w1.shape}, {b1.shape}, "
+                             f"{w2.shape}, {b2.shape}")
+    lead = x.shape[:-1]
+    rows = math.prod(lead)
+    xd, w1d, w2d = x.data.reshape(rows, k), w1.data, w2.data
+    h = np.empty((rows, m), dtype=xd.dtype)
+    np.matmul(xd, w1d, out=h)
+    h += b1.data
+    grad = _grad_enabled() and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    y, dydx = (np.empty_like(h), h) if grad else (h, None)
+    _gelu_into(h, y, dydx)
+    out = np.empty(lead + (n,), dtype=xd.dtype)
+    np.matmul(y, w2d, out=out.reshape(rows, n))
+    out += b2.data
+
+    def vjp(g):
+        nonlocal y
+        gb2 = _unbroadcast(g, (n,))
+        g2 = g.reshape(rows, n)  # copies when g arrives as a view
+        gw2 = y.T @ g2
+        y = None  # the graph is consumed once: its slot goes to dy
+        ga = np.multiply(g2 @ w2d.T, dydx, out=dydx)
+        gb1 = _unbroadcast(ga.reshape(lead + (m,)), (m,))
+        gw1 = xd.T @ ga
+        return (ga @ w1d.T).reshape(x.shape), gw1, gb1, gw2, gb2
+
+    return _make(out, "ffn", (x, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -503,14 +557,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gd = gamma.data
 
     def vjp(g):
-        gg = g * gd
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        dx = (gg - m1 - xhat * m2) * inv
         red = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=red)
         dbeta = g.sum(axis=red)
-        return dx.astype(dt, copy=False), dgamma, dbeta
+        gg = g * gd
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        # dx = (gg - m1 - xhat * m2) * inv, built in gg with xhat as scratch
+        # (the graph is consumed once)
+        gg -= m1
+        gg -= np.multiply(xhat, m2, out=xhat)
+        gg *= inv
+        return gg.astype(dt, copy=False), dgamma, dbeta
 
     return _make(out.astype(dt, copy=False), "layer_norm", (x, gamma, beta), vjp)
 

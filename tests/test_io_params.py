@@ -215,7 +215,7 @@ def test_store_registers_and_counts():
     assert ps.n_params("blk") == 15
     assert ps["blk.w"] is w
     assert np.all(b.data == 0) and np.all(g.data == 1)
-    assert w.requires_grad and w.grad is not None and np.all(w.grad == 0)
+    assert w.requires_grad and w.grad is None
 
 
 def test_store_fanin_bound():
@@ -242,9 +242,9 @@ def test_store_unknown_name_and_init():
 def test_store_zero_grad_resets():
     ps = ParamStore(np.random.default_rng(0))
     w = ps.add("w", (3,))
-    w.grad += 5.0
+    w.grad = np.full(3, 5.0, np.float32)
     ps.zero_grad()
-    assert np.all(w.grad == 0)
+    assert w.grad is None
 
 
 def test_store_load_arrays_strict():

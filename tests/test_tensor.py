@@ -433,6 +433,81 @@ def test_attention_rejects_mixed_dtypes():
         T.attention(T.Tensor(q), T.Tensor(k, dtype=np.float32), T.Tensor(v))
 
 
+def _composed_ffn(x, w1, b1, w2, b2):
+    # the five recorded ops that ffn is one node for
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def _ffn_and_grads(fn, arrays, w, swap):
+    ts = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    # cats transposes each block's output, which hands the VJP a strided gradient
+    seen = T.transpose(out, swap) if swap else out
+    T.backward(T.tsum(T.mul(seen, T.Tensor(w))))
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, swap", [
+    ((10,), None),
+    ((10,), (1, 0)),          # rank 2 with a strided gradient
+    ((4, 16), (1, 0, 2)),     # cats intra: [levels, positions, feat]
+    ((16, 4), (1, 0, 2)),     # cats inter: [positions, levels, feat]
+])
+def test_ffn_bits_equal_composed_ops(dtype, lead, swap):
+    rng = np.random.default_rng(16)
+    k, m = 12, 48
+    # wide inputs, so some hidden values reach gelu's continued-fraction tail
+    arrays = [(3.0 * rng.normal(size=s)).astype(dtype)
+              for s in (lead + (k,), (k, m), (m,), (m, k), (k,))]
+    out_shape = lead + (k,)
+    w = rng.normal(size=tuple(out_shape[i] for i in swap) if swap else out_shape).astype(dtype)
+    got = _ffn_and_grads(T.ffn, arrays, w, swap)
+    want = _ffn_and_grads(_composed_ffn, arrays, w, swap)
+    for name, a, b in zip(("out", "dx", "dw1", "db1", "dw2", "db2"), got, want):
+        assert a.dtype == b.dtype == dtype
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_ffn_no_grad_holds_one_hidden_array():
+    rng = np.random.default_rng(17)
+    rows, f, hidden = 1024, 288, 1152
+    x, w1, w2 = (T.Tensor(rng.normal(size=s).astype(np.float32))
+                 for s in ((rows, f), (f, hidden), (hidden, f)))
+    b1, b2 = T.Tensor(np.zeros(hidden, np.float32)), T.Tensor(np.zeros(f, np.float32))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = T.ffn(x, w1, b1, w2, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the composed ops hold two hidden arrays at once; gelu's scratch adds ~0.11
+    assert peak - out.data.nbytes < 1.25 * rows * hidden * 4
+
+
+@pytest.mark.parametrize("x, w1, b1, w2, b2", [
+    ((4,), (4, 8), (8,), (8, 4), (4,)),          # rank-1 input
+    ((3, 4), (1, 4, 8), (8,), (8, 4), (4,)),     # batched first weight
+    ((3, 4), (4, 8), (8,), (1, 8, 4), (4,)),     # batched second weight
+    ((3, 5), (4, 8), (8,), (8, 4), (4,)),        # input extent
+    ((3, 4), (4, 8), (7,), (8, 4), (4,)),        # first bias extent
+    ((3, 4), (4, 8), (8,), (7, 4), (4,)),        # hidden extent
+    ((3, 4), (4, 8), (8,), (8, 4), (1, 4)),      # second bias rank
+])
+def test_ffn_rejects_bad_shapes(x, w1, b1, w2, b2):
+    with pytest.raises(DimensionError):
+        T.ffn(*(T.Tensor(np.zeros(s)) for s in (x, w1, b1, w2, b2)))
+
+
+def test_ffn_rejects_mixed_dtypes():
+    shapes = ((3, 4), (4, 8), (8,), (8, 4), (4,))
+    ts = [T.Tensor(np.zeros(s)) for s in shapes]
+    ts[3] = T.Tensor(np.zeros(shapes[3]), dtype=np.float32)
+    with pytest.raises(DimensionError):
+        T.ffn(*ts)
+
+
 @pytest.mark.parametrize("op", ["matmul", "softmax", "attention", "layer_norm", "gelu",
                                 "l2norm_last"])
 def test_gradcheck_core_ops(op):
