@@ -11,19 +11,20 @@ run is bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
-import contextlib
+import concurrent.futures
 import ctypes
 import functools
 import glob
 import itertools
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tt
-from .errors import ArgumentError, CheckpointError, NumericError, read_lines
+from .errors import (ArgumentError, CheckpointError, NumericError, StateError,
+                     read_lines)
 from .flow import (FlowField, KeypointSet, aepe, pck, transfer_keypoints)
 from .optim import AdamW
 from .params import ParamStore
@@ -237,25 +238,28 @@ def _openblas():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore it.
+# (model, pairs, alphas); set only inside forked workers, by `_start_worker`
+_worker_job = None
 
-    A no-op when numpy does not bundle OpenBLAS (MKL, Accelerate, a distro
-    build). OpenBLAS splits a GEMM by rows and columns, never along the
-    summed axis, so the thread count changes no result.
+
+def _start_worker(model, pairs: list[SyntheticPair], alphas: tuple[float, ...]):
+    """Pool initializer: keep the job the fork handed over, one BLAS thread.
+
+    Under `fork` the initializer's arguments are inherited, never pickled.
+    OpenBLAS splits a GEMM by rows and columns, never along the summed axis,
+    so the thread count changes no result. Without numpy's bundled OpenBLAS
+    (MKL, Accelerate, a distro build) the cap is skipped.
     """
+    global _worker_job
+    _worker_job = (model, pairs, alphas)
     blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    if blas is not None:
+        blas[1](1)
+
+
+def _eval_in_worker(pair_id: int) -> PairResult:
+    model, pairs, alphas = _worker_job
+    return _eval_one(model, pairs[pair_id], pair_id, alphas)
 
 
 def evaluate(model, pairs: list[SyntheticPair],
@@ -263,24 +267,36 @@ def evaluate(model, pairs: list[SyntheticPair],
              threads: int = 1) -> EvalReport:
     """Side-effect-free scoring of every pair; optionally pair-parallel.
 
-    With `threads > 1` each worker runs its GEMMs on one BLAS thread, so
-    pair workers do not contend with OpenBLAS's own pool; the previous
-    count is restored once every worker has finished. Without numpy's
-    bundled OpenBLAS the cap is a no-op.
+    With `threads > 1` the pairs run in `min(threads, len(pairs))` worker
+    processes forked from the caller. Each worker inherits the model and
+    the pairs, receives only pair indices and sends back only its rows, and
+    runs its GEMMs on one BLAS thread; the caller's BLAS setting is never
+    changed. The report equals the serial one bit for bit, rows in pair
+    order. Only platforms with the `fork` start method run pairs in
+    parallel; elsewhere, and for a single pair, evaluation is serial.
+    A worker that dies (a signal, the OOM killer) raises `StateError`, and
+    no worker outlives the call.
     """
     if not pairs:
         raise ArgumentError("no evaluation pairs")
     if threads < 1:
         raise ArgumentError(f"threads must be at least 1, got {threads}")
     report = EvalReport(alphas=tuple(alphas))
-    if threads == 1:
+    workers = min(threads, len(pairs))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         report.rows = [_eval_one(model, p, i, report.alphas)
                        for i, p in enumerate(pairs)]
         return report
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_eval_one, model, p, i, report.alphas)
-                   for i, p in enumerate(pairs)]
-        report.rows = [f.result() for f in futures]
+    # `concurrent.futures` imports its process module on first use, so a
+    # command that never evaluates in parallel does not pay for it at start-up
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(model, pairs, report.alphas))
+    with pool:
+        try:
+            report.rows = list(pool.map(_eval_in_worker, range(len(pairs))))
+        except concurrent.futures.BrokenExecutor as e:
+            raise StateError(f"evaluation worker exited early: {e}") from None
     return report
 
 

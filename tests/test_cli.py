@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, provenance echo."""
 
 import filecmp
+import multiprocessing
 import os
 import re
 import shutil
@@ -310,6 +311,33 @@ class TestThreads:
         strip = lambda p: [l for l in open(p).read().splitlines()
                            if not l.startswith("#")]
         assert strip(rep1) == strip(rep2)
+
+    def test_pair_parallel_rows_equal_serial(self, workdir, tmp_path):
+        reports = {}
+        for n in ("1", "2"):
+            reports[n] = tmp_path / f"r{n}.txt"
+            assert main(["eval", "--data", workdir["data"], "--checkpoint",
+                         workdir["ck"], "--report", str(reports[n]),
+                         "--threads", n, *CATSPP]) == 0
+        rows = {n: [l for l in p.read_bytes().splitlines(keepends=True)
+                    if not l.startswith(b"#")] for n, p in reports.items()}
+        assert len(rows["1"]) == 4  # three pairs and the summary
+        assert rows["2"] == rows["1"]
+
+    def test_dead_worker_is_one_error_line(self, workdir, tmp_path,
+                                           monkeypatch, capsys):
+        rep = tmp_path / "r.txt"
+        monkeypatch.setattr(pl, "_eval_one", lambda *args: os._exit(3))
+        code = main(["eval", "--data", workdir["data"], "--checkpoint",
+                     workdir["ck"], "--report", str(rep), "--threads", "2",
+                     *CATSPP])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.fullmatch(r"error: evaluation worker exited [^\n]*\n",
+                            captured.err)
+        assert captured.out == ""
+        assert not rep.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_thread_count_below_one_usage_error(self, workdir, tmp_path,

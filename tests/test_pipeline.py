@@ -1,6 +1,8 @@
 """Training loop, evaluation reports, dataset files, and checkpoints."""
 
 import hashlib
+import multiprocessing
+import os
 import re
 import tracemalloc
 import weakref
@@ -12,7 +14,8 @@ from catagg import pipeline as pl
 from catagg import tensor as tt
 from catagg.cats import CatsConfig
 from catagg.catspp import EfficientConfig, EmbedConfig
-from catagg.errors import ArgumentError, CheckpointError, NumericError
+from catagg.errors import (ArgumentError, CheckpointError, NumericError,
+                           StateError)
 from catagg.flow import aepe, pck, transfer_keypoints
 from catagg.model import CatsModel, CatsPPModel
 from catagg.params import ParamStore
@@ -35,6 +38,22 @@ def _build_cats():
 
 def _pairs(n=3, base=200):
     return [generate_pair(base + i) for i in range(n)]
+
+
+def _log(directory, kind, value):
+    """Append one entry to this process's log, readable across a fork."""
+    with open(directory / f"{os.getpid()}.log", "a") as fh:
+        fh.write(f"{kind} {value}\n")
+
+
+def _read_logs(directory) -> dict:
+    """{pid: [(kind, value), ...]} of every process that called `_log`."""
+    logs = {}
+    for path in directory.glob("*.log"):
+        entries = [line.split() for line in path.read_text().splitlines()]
+        logs[int(path.stem)] = [(k, None if v == "None" else int(v))
+                                for k, v in entries]
+    return logs
 
 
 def _hash(store):
@@ -262,26 +281,39 @@ class TestEvaluate:
             b = pl.evaluate(model, pairs, alphas=(0.1,), threads=3)
             assert a.to_text() == b.to_text()
 
-    def test_blas_threads_capped_in_workers_and_restored(self, monkeypatch):
+    def test_blas_threads_capped_in_workers_and_restored(self, monkeypatch,
+                                                         tmp_path):
         blas = pl._openblas()
         if blas is None:
             pytest.skip("numpy does not bundle OpenBLAS here")
-        get, _ = blas
+        get, set_ = blas
         before = get()
-        seen = []
         real = pl._eval_one
 
+        def set_spy(n):
+            _log(tmp_path, "set", n)
+            set_(n)
+
         def spy(*args):
-            seen.append(get())
+            _log(tmp_path, "eval", get())
             return real(*args)
 
         store, model = _build()
+        monkeypatch.setattr(pl, "_openblas", lambda: (get, set_spy))
         monkeypatch.setattr(pl, "_eval_one", spy)
         pl.evaluate(model, _pairs(2), alphas=(0.1,), threads=2)
-        assert seen == [1, 1]
+        logs = _read_logs(tmp_path)
+        # the caller never set its count, so it held `before` throughout
+        assert os.getpid() not in logs
+        assert 1 <= len(logs) <= 2
+        for entries in logs.values():
+            assert entries[0] == ("set", 1)
+            assert all(value == 1 for _, value in entries)
+        assert sum(kind == "eval" for e in logs.values() for kind, _ in e) == 2
         assert get() == before
         pl.evaluate(model, _pairs(1), alphas=(0.1,), threads=1)
-        assert seen[-1] == before  # serial eval keeps the BLAS threads
+        # serial eval runs in the caller on its own BLAS threads
+        assert _read_logs(tmp_path)[os.getpid()] == [("eval", before)]
 
     def test_blas_threads_restored_when_a_worker_raises(self, monkeypatch):
         blas = pl._openblas()
@@ -294,21 +326,69 @@ class TestEvaluate:
 
         store, model = _build()
         monkeypatch.setattr(pl, "_eval_one", boom)
-        with pytest.raises(NumericError, match="worker failed"):
+        with pytest.raises(NumericError) as info:
             pl.evaluate(model, _pairs(2), alphas=(0.1,), threads=2)
+        assert info.type is NumericError
+        assert str(info.value) == "worker failed"
         assert blas[0]() == before
+        assert multiprocessing.active_children() == []
 
-    def test_blas_cap_is_noop_without_openblas(self, monkeypatch):
+    def test_blas_cap_is_noop_without_openblas(self, monkeypatch, tmp_path):
         real = pl._openblas()
-        monkeypatch.setattr(pl, "_openblas", lambda: None)
         before = real[0]() if real else None
-        with pl._one_blas_thread():
-            assert (real[0]() if real else None) == before
+        reference = pl._eval_one
+
+        def spy(*args):
+            _log(tmp_path, "eval", real[0]() if real else None)
+            return reference(*args)
+
+        monkeypatch.setattr(pl, "_openblas", lambda: None)
         store, model = _build()
         pairs = _pairs(2)
         a = pl.evaluate(model, pairs, alphas=(0.1,), threads=1)
+        monkeypatch.setattr(pl, "_eval_one", spy)
         b = pl.evaluate(model, pairs, alphas=(0.1,), threads=2)
         assert a.to_text() == b.to_text()
+        logs = _read_logs(tmp_path)
+        assert os.getpid() not in logs
+        # workers inherit the caller's count and keep it
+        assert [v for e in logs.values() for _, v in e] == [before, before]
+        assert (real[0]() if real else None) == before
+
+    def test_pool_holds_at_most_one_worker_per_pair(self, monkeypatch,
+                                                    tmp_path):
+        start, real = pl._start_worker, pl._eval_one
+
+        def start_spy(*args):
+            _log(tmp_path, "start", 0)
+            start(*args)
+
+        def spy(*args):
+            _log(tmp_path, "eval", args[2])
+            return real(*args)
+
+        store, model = _build()
+        pairs = _pairs(3)
+        serial = pl.evaluate(model, pairs, alphas=(0.1,), threads=1)
+        monkeypatch.setattr(pl, "_start_worker", start_spy)
+        monkeypatch.setattr(pl, "_eval_one", spy)
+        rep = pl.evaluate(model, pairs, alphas=(0.1,), threads=8)
+        logs = _read_logs(tmp_path)
+        # every started worker logs once, whether or not it got a pair
+        assert 1 <= len(logs) <= 3
+        assert os.getpid() not in logs
+        assert all(entries[0] == ("start", 0) for entries in logs.values())
+        evaluated = [v for e in logs.values() for k, v in e if k == "eval"]
+        assert sorted(evaluated) == [0, 1, 2]
+        assert rep.to_text() == serial.to_text()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_state_error(self, monkeypatch):
+        store, model = _build()
+        monkeypatch.setattr(pl, "_eval_one", lambda *args: os._exit(3))
+        with pytest.raises(StateError, match="evaluation worker exited"):
+            pl.evaluate(model, _pairs(2), alphas=(0.1,), threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_empty_rejected(self):
         store, model = _build()
