@@ -105,10 +105,19 @@ def _require_file(path, what: str):
 
 
 def _build(cfg: RunConfig, checkpoint_path=None):
-    """The model, optimizer and RNG, restored from a checkpoint if given."""
+    """The model, optimizer and RNG, restored from a checkpoint if given.
+
+    The config's grid must be the model's flow grid: `catspp` derives its
+    grid from the image size and embed stride, so a `grid.*` that differs
+    would be echoed into the outputs without having run.
+    """
     if checkpoint_path is not None:
         _require_file(checkpoint_path, "checkpoint")
     model = cfg.build_model()
+    if cfg.grid() != model.flow_grid:
+        raise UsageError(
+            f"grid.h x grid.w is {cfg.grid()}, but the {cfg['model']} model's "
+            f"flow grid is {model.flow_grid}")
     opt = pl.make_optimizer(model, cfg.train_config())
     rng = np.random.default_rng(cfg["seed"])
     if checkpoint_path is not None:

@@ -117,13 +117,19 @@ def hard_argmax_flow(c: Tensor) -> FlowField:
 
 def _sample_bilinear(field: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Border-clamped bilinear read of [h,w,c] at fractional grid coords."""
-    h, w = field.shape[:2]
+    h, w, c = field.shape
     x0, x1, fx = _linear_taps(gx, w)
     y0, y1, fy = _linear_taps(gy, h)
-    fx, fy = fx[:, None], fy[:, None]
-    top = field[y0, x0] * (1 - fx) + field[y0, x1] * fx
-    bot = field[y1, x0] * (1 - fx) + field[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+    (wx0, wx1), (wy0, wy1) = (1 - fx, fx), (1 - fy, fy)
+    corners = [y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]
+    out = np.empty((len(fx), c), dtype=np.result_type(field, fx))
+    # per channel plane, `take` on flat indices: numpy gathers [n, c] rows
+    # with a c-wide inner loop, which is slow for c = 2 or 3
+    for ch in range(c):
+        plane = np.ascontiguousarray(field[:, :, ch]).ravel()
+        v00, v01, v10, v11 = (plane.take(i) for i in corners)
+        out[:, ch] = (v00 * wx0 + v01 * wx1) * wy0 + (v10 * wx0 + v11 * wx1) * wy1
+    return out
 
 
 def transfer_keypoints(flow: FlowField, kps: KeypointSet) -> KeypointSet:

@@ -123,8 +123,11 @@ class CatsModel:
         return _select(self.backbone.forward(image), self.layers)
 
     def flow(self, source: Tensor, target: Tensor) -> FlowField:
-        fs = self.features(source)
-        ft = self.features(target)
+        return self.flow_from_features(self.features(source),
+                                       self.features(target))
+
+    def flow_from_features(self, fs: list[FeatureMap],
+                           ft: list[FeatureMap]) -> FlowField:
         stack = build_stack(fs, ft, self.cfg.grid)
         out = self.agg.aggregate(stack, fs, ft)
         corr = tt.reshape(tt.tmean(out.maps, axis=0), self.cfg.grid + self.cfg.grid)
@@ -132,8 +135,12 @@ class CatsModel:
 
     def wta(self, source: Tensor, target: Tensor) -> FlowField:
         with tt.no_grad():
-            fs = self.features(source)
-            ft = self.features(target)
+            return self.wta_from_features(self.features(source),
+                                          self.features(target))
+
+    def wta_from_features(self, fs: list[FeatureMap],
+                          ft: list[FeatureMap]) -> FlowField:
+        with tt.no_grad():
             return hard_argmax_flow(
                 raw_correlation_mean(fs, ft, self.cfg.grid))
 
@@ -174,8 +181,11 @@ class CatsPPModel:
         return _select(self.backbone.forward(image), self.layers)
 
     def flow(self, source: Tensor, target: Tensor) -> FlowField:
-        fs = self.features(source)
-        ft = self.features(target)
+        return self.flow_from_features(self.features(source),
+                                       self.features(target))
+
+    def flow_from_features(self, fs: list[FeatureMap],
+                           ft: list[FeatureMap]) -> FlowField:
         hypers = build_hypercorrelation(fs, ft, layers=self.layers)
         vol = self.agg.aggregate(hypers, fs, ft)
         corr = tt.tmean(vol, axis=-1)
@@ -183,6 +193,10 @@ class CatsPPModel:
 
     def wta(self, source: Tensor, target: Tensor) -> FlowField:
         with tt.no_grad():
-            fs = self.features(source)
-            ft = self.features(target)
+            return self.wta_from_features(self.features(source),
+                                          self.features(target))
+
+    def wta_from_features(self, fs: list[FeatureMap],
+                          ft: list[FeatureMap]) -> FlowField:
+        with tt.no_grad():
             return hard_argmax_flow(raw_correlation_mean(fs, ft, self._grid))

@@ -18,6 +18,7 @@ import glob
 import itertools
 import multiprocessing
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .tensor_io import (atomic_write, load_bundle, load_tensor, save_bundle,
 __all__ = ["TrainConfig", "make_optimizer", "train_step", "train", "evaluate",
            "EvalReport", "PairResult", "eval_keypoints", "save_checkpoint",
            "load_checkpoint", "write_dataset", "read_manifest", "load_pairs",
-           "DatasetEntry"]
+           "DatasetEntry", "ManifestPairs"]
 
 CHECKPOINT_VERSION = 1
 
@@ -103,7 +104,7 @@ def train_step(model, opt: AdamW, batch: list[SyntheticPair]) -> float:
     return value
 
 
-def train(model, opt: AdamW, pairs: list[SyntheticPair], cfg: TrainConfig,
+def train(model, opt: AdamW, pairs: Sequence[SyntheticPair], cfg: TrainConfig,
           rng: np.random.Generator, stop_below: float | None = None,
           log=None) -> list[float]:
     """Run from the optimizer's current step up to cfg.steps; returns losses.
@@ -191,8 +192,10 @@ def _as_f64(f: FlowField) -> FlowField:
 def _eval_one(model, pair: SyntheticPair, pair_id: int,
               alphas: tuple[float, ...]) -> PairResult:
     with tt.no_grad():
-        pred = _as_f64(model.flow(pair.source, pair.target))
-        wta = model.wta(pair.source, pair.target)
+        # one backbone pass per image serves both the model and the baseline
+        fs, ft = model.features(pair.source), model.features(pair.target)
+        pred = _as_f64(model.flow_from_features(fs, ft))
+        wta = model.wta_from_features(fs, ft)
         gt = pair.gt_flow(model.flow_grid)  # analytic, f64
         err = aepe(pred, gt).item()
     kps = eval_keypoints(pair.extents)
@@ -242,7 +245,8 @@ def _openblas():
 _worker_job = None
 
 
-def _start_worker(model, pairs: list[SyntheticPair], alphas: tuple[float, ...]):
+def _start_worker(model, pairs: Sequence[SyntheticPair],
+                  alphas: tuple[float, ...]):
     """Pool initializer: keep the job the fork handed over, one BLAS thread.
 
     Under `fork` the initializer's arguments are inherited, never pickled.
@@ -262,7 +266,7 @@ def _eval_in_worker(pair_id: int) -> PairResult:
     return _eval_one(model, pairs[pair_id], pair_id, alphas)
 
 
-def evaluate(model, pairs: list[SyntheticPair],
+def evaluate(model, pairs: Sequence[SyntheticPair],
              alphas: tuple[float, ...] = (0.05, 0.1, 0.15),
              threads: int = 1) -> EvalReport:
     """Side-effect-free scoring of every pair; optionally pair-parallel.
@@ -271,9 +275,11 @@ def evaluate(model, pairs: list[SyntheticPair],
     processes forked from the caller. Each worker inherits the model and
     the pairs, receives only pair indices and sends back only its rows, and
     runs its GEMMs on one BLAS thread; the caller's BLAS setting is never
-    changed. The report equals the serial one bit for bit, rows in pair
-    order. Only platforms with the `fork` start method run pairs in
-    parallel; elsewhere, and for a single pair, evaluation is serial.
+    changed. A `load_pairs` sequence holds no pair, so each worker
+    regenerates the pairs it scores. The report equals the serial one bit
+    for bit, rows in pair order. Only platforms with the `fork` start
+    method run pairs in parallel; elsewhere, and for a single pair,
+    evaluation is serial.
     A worker that dies (a signal, the OOM killer) raises `StateError`, and
     no worker outlives the call.
     """
@@ -395,12 +401,47 @@ def read_manifest(path) -> tuple[dict, list[DatasetEntry]]:
     return echo, entries
 
 
-def load_pairs(path) -> list[SyntheticPair]:
-    """Regenerate every pair from its seed using the manifest's echoed config.
+class ManifestPairs(Sequence):
+    """A manifest's pairs, each regenerated from its seed when indexed.
+
+    The sequence keeps no pair: `pairs[i]` runs `generate_pair` with the
+    manifest's echoed settings and returns a new pair, so a caller holds
+    only the pairs it keeps references to. Every regenerated pair is
+    checked against its stored flow file; a mismatch raises the
+    `CheckpointError` that names the file. A seed the generator rejects
+    raises its `ArgumentError` at the pair's first use.
+    """
+
+    def __init__(self, entries: list[DatasetEntry], grid: tuple[int, int],
+                 magnitude: float, size: int):
+        self.entries = entries
+        self.grid, self.magnitude, self.size = grid, magnitude, size
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> SyntheticPair:
+        entry = self.entries[i]
+        pair = generate_pair(entry.seed, grid=self.grid,
+                             warp_magnitude=self.magnitude, size=self.size)
+        if not np.array_equal(load_tensor(entry.flow),
+                              pair.gt_flow(self.grid).grid.data):
+            raise CheckpointError(
+                f"{entry.flow} disagrees with regeneration from seed "
+                f"{entry.seed}; manifest echo out of date?")
+        return pair
+
+
+def load_pairs(path) -> ManifestPairs:
+    """The manifest's pairs as a read-only sequence that regenerates each
+    pair from its seed and the echoed generation settings when indexed.
 
     The tensor files exist for external consumers; seeds plus the echoed
-    generation settings reproduce them bit-exactly, which is spot-checked
-    on the first pair's stored flow.
+    settings reproduce them bit-exactly. Each pair is verified against its
+    stored flow when it is regenerated, and the first pair once here, so a
+    stale echo fails before any work starts. `train` and `evaluate` hold
+    one batch (one pair per evaluation worker), never the whole dataset;
+    a seed the generator rejects fails at its first use.
     """
     echo, entries = read_manifest(path)
     try:
@@ -409,14 +450,8 @@ def load_pairs(path) -> list[SyntheticPair]:
         size = int(echo["data.size"])
     except KeyError as e:
         raise ArgumentError(f"manifest {path} lacks generation echo {e}") from e
-    pairs = [generate_pair(en.seed, grid=grid, warp_magnitude=magnitude,
-                           size=size) for en in entries]
-    stored = load_tensor(entries[0].flow)
-    analytic = pairs[0].gt_flow(grid).grid.data
-    if not np.array_equal(stored, analytic):
-        raise CheckpointError(
-            f"{entries[0].flow} disagrees with regeneration from seed "
-            f"{entries[0].seed}; manifest echo out of date?")
+    pairs = ManifestPairs(entries, grid, magnitude, size)
+    pairs[0]  # regenerated and verified now, before any work starts
     return pairs
 
 

@@ -80,12 +80,15 @@ def smooth_image(rng: np.random.Generator, size: int = IMAGE_SIZE,
     x1 = np.minimum(x0 + 1, coarse.shape[1] - 1)
     fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
     fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = coarse[y0][:, x0] * (1 - fx) + coarse[y0][:, x1] * fx
-    bot = coarse[y1][:, x0] * (1 - fx) + coarse[y1][:, x1] * fx
-    img = top * (1 - fy) + bot * fy
-    gy, gx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    # along x on the coarse rows first, then gather and blend rows: the same
+    # per-element arithmetic as blending four gathered corners
+    rows = coarse[:, x0] * (1 - fx) + coarse[:, x1] * fx
+    img = rows[y0] * (1 - fy) + rows[y1] * fy
+    # the texture depends on gx + gy only: one sine per diagonal
     phase = rng.uniform(0, 2 * np.pi, size=channels)
-    tex = 0.15 * np.sin(2 * np.pi * (gx + gy)[:, :, None] / 16.0 + phase)
+    diag = np.arange(2 * size - 1)[:, None]
+    tex = (0.15 * np.sin(2 * np.pi * diag / 16.0 + phase))[np.add.outer(
+        np.arange(size), np.arange(size))]
     return (img + tex).astype(np.float32)
 
 

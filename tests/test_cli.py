@@ -15,7 +15,7 @@ from catagg.cli import main
 from catagg.flow import (FlowField, pck, read_keypoints, transfer_keypoints,
                          write_keypoints)
 from catagg.tensor import Tensor
-from catagg.tensor_io import load_bundle, load_tensor, save_bundle
+from catagg.tensor_io import load_bundle, load_tensor, save_bundle, save_tensor
 
 CATSPP = ["--set", "model=catspp", "--set", "grid.h=8", "--set", "grid.w=8"]
 
@@ -147,6 +147,73 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert code == 1
         assert re.fullmatch(r"error: manifest \S+ line \d+: seed -1 is negative\n", err)
+        assert not out.exists()
+
+
+class TestStreamedPairs:
+    """Each pair is regenerated and checked at its first use in a command."""
+
+    @pytest.fixture
+    def data_copy(self, workdir, tmp_path):
+        """A private copy of the module's three-pair dataset; its manifest."""
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(workdir["data"]), data)
+        return data / "manifest.txt"
+
+    def test_tampered_later_flow_fails_eval(self, workdir, data_copy,
+                                            tmp_path, capsys):
+        flow = data_copy.parent / "flow_0002.catt"
+        save_tensor(str(flow), load_tensor(str(flow)) + 1.0)
+        rep = tmp_path / "r.txt"
+        code = main(["eval", "--data", str(data_copy), "--checkpoint",
+                     workdir["ck"], "--report", str(rep), *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: \S*flow_0002\.catt disagrees [^\n]*\n", err)
+        assert not rep.exists()
+
+    def test_rejected_seed_fails_eval(self, workdir, data_copy, tmp_path,
+                                      capsys):
+        # generate_pair rejects seed 1014864 on an 8x8 grid
+        text = data_copy.read_text()
+        data_copy.write_text(re.sub(r"seed=12$", "seed=1014864", text,
+                                    flags=re.M))
+        rep = tmp_path / "r.txt"
+        code = main(["eval", "--data", str(data_copy), "--checkpoint",
+                     workdir["ck"], "--report", str(rep), *CATSPP])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.fullmatch(r"error: seed 1014864: [^\n]*\n", err)
+        assert not rep.exists()
+
+    def test_rejected_seeds_fail_train(self, data_copy, tmp_path, capsys):
+        text = data_copy.read_text()
+        for seed in (12, 13):
+            text = re.sub(rf"seed={seed}$", "seed=1014864", text, flags=re.M)
+        data_copy.write_text(text)
+        ck = tmp_path / "ck.catb"
+        code = main(["train", "--data", str(data_copy), "--out", str(ck),
+                     "--set", "train.steps=20", *CATSPP])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.search(r"^error: seed 1014864: ", captured.err, re.M)
+        assert len(captured.err.splitlines()) == 1
+        assert not ck.exists()
+
+
+class TestGridMustMatchModel:
+    @pytest.mark.parametrize("command", ["train", "eval", "infer"])
+    def test_catspp_rejects_another_grid(self, workdir, tmp_path, capsys,
+                                         command):
+        out = tmp_path / "out"
+        argv = {"train": ["--out", str(out)],
+                "eval": ["--checkpoint", workdir["ck"], "--report", str(out)],
+                "infer": ["--checkpoint", workdir["ck"], "--out", str(out)]}
+        code = main([command, "--data", workdir["data"], *argv[command],
+                     *CATSPP, "--set", "grid.h=4", "--set", "grid.w=4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"usage error: [^\n]*\(4, 4\)[^\n]*\(8, 8\)\n", err)
         assert not out.exists()
 
 

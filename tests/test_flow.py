@@ -14,6 +14,7 @@ from catagg.flow import (
     pck,
     pixel_to_grid,
     read_keypoints,
+    _sample_bilinear,
     soft_argmax_flow,
     transfer_keypoints,
     write_keypoints,
@@ -157,6 +158,26 @@ def test_transfer_matches_bilinear_oracle():
              + field[y1, x0] * (1 - fx) * fy + field[y1, x1] * fx * fy)
         assert abs(ox - ((gx + d[0] + 0.5) * 256 / 8)) < 1e-5
         assert abs(oy - ((gy + d[1] + 0.5) * 256 / 8)) < 1e-5
+
+
+def test_sample_bilinear_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(7)
+    h, w, c = 5, 7, 3
+    field = rng.normal(size=(h, w, c))
+    # inside, on the last row and column, and clamped beyond every border
+    gx = np.concatenate([rng.uniform(-3, w + 2, 60), [0.0, w - 1.0, -0.5, w]])
+    gy = np.concatenate([rng.uniform(-3, h + 2, 60), [h - 1.0, 0.0, h, -0.5]])
+    out = _sample_bilinear(field, gx, gy)
+    for x, y, row in zip(gx, gy, out):
+        cx, cy = min(max(float(x), 0.0), w - 1.0), min(max(float(y), 0.0), h - 1.0)
+        x0, y0 = int(cx // 1), int(cy // 1)
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = cx - x0, cy - y0
+        for ch in range(c):
+            f = lambda yy, xx: float(field[yy, xx, ch])
+            top = f(y0, x0) * (1 - fx) + f(y0, x1) * fx
+            bot = f(y1, x0) * (1 - fx) + f(y1, x1) * fx
+            assert row[ch] == top * (1 - fy) + bot * fy
 
 
 def test_transfer_clamps_to_image():

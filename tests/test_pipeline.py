@@ -20,7 +20,7 @@ from catagg.flow import aepe, pck, transfer_keypoints
 from catagg.model import CatsModel, CatsPPModel
 from catagg.params import ParamStore
 from catagg.synth import generate_pair
-from catagg.tensor_io import load_tensor, save_bundle
+from catagg.tensor_io import load_tensor, save_bundle, save_tensor
 
 
 def _build(seed=0, dtype=np.float32):
@@ -502,6 +502,76 @@ class TestDatasetFiles:
         with pytest.raises(ArgumentError):
             pl.write_dataset(str(tmp_path), n_pairs=0, seed=1,
                              grid=(8, 8), warp_magnitude=1.0)
+
+
+class TestStreamingPairs:
+    """`load_pairs` regenerates each pair when it is indexed and keeps none."""
+
+    def test_loading_holds_less_than_one_pair(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=32, seed=300,
+                               grid=(8, 8), warp_magnitude=1.0)
+        one = generate_pair(300, grid=(8, 8))
+        image_bytes = one.source.data.nbytes + one.target.data.nbytes
+        del one
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairs = pl.load_pairs(man)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 32
+        assert grown < image_bytes
+
+    def test_indexed_pair_is_not_kept(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=5, seed=60,
+                               grid=(8, 8), warp_magnitude=1.0)
+        pairs = pl.load_pairs(man)
+        pair = pairs[3]
+        assert pair.seed == 63
+        ref = weakref.ref(pair)
+        del pair
+        assert ref() is None
+
+    def test_iteration_and_indexing_regenerate(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=4, seed=70,
+                               grid=(8, 8), warp_magnitude=1.0)
+        pairs = pl.load_pairs(man)
+        assert [p.seed for p in pairs] == [70, 71, 72, 73]
+        assert pairs[-1].seed == 73
+        with pytest.raises(IndexError):
+            pairs[4]
+
+    def test_every_pair_is_verified_when_used(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=3, seed=80,
+                               grid=(8, 8), warp_magnitude=1.0)
+        _, entries = pl.read_manifest(man)
+        save_tensor(entries[2].flow, load_tensor(entries[2].flow) + 1.0)
+        pairs = pl.load_pairs(man)  # only the first pair is checked here
+        assert pairs[1].seed == 81
+        with pytest.raises(CheckpointError, match="flow_0002.catt"):
+            pairs[2]
+
+    def test_rejected_seed_fails_at_first_use(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=2, seed=90,
+                               grid=(8, 8), warp_magnitude=1.0)
+        # generate_pair rejects seed 1014864 on an 8x8 grid
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("seed=91", "seed=1014864"))
+        pairs = pl.load_pairs(man)
+        with pytest.raises(ArgumentError, match="seed 1014864"):
+            pairs[1]
+
+    def test_parallel_eval_on_the_sequence_equals_serial(self, tmp_path):
+        man = pl.write_dataset(str(tmp_path), n_pairs=3, seed=100,
+                               grid=(8, 8), warp_magnitude=1.0)
+        pairs = pl.load_pairs(man)
+        store, model = _build()
+        a = pl.evaluate(model, pairs, alphas=(0.1,), threads=1)
+        b = pl.evaluate(model, pairs, alphas=(0.1,), threads=2)
+        assert a.to_text() == b.to_text()
+        assert len(a.rows) == 3
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckpoint:
