@@ -18,10 +18,11 @@ from catagg.params import ParamStore
 pair = generate_pair(seed=3)
 print(f"images {pair.source.shape}, affine warp:\n{np.round(pair.warp, 3)}")
 
-# a small randomly initialised convolutional pyramid supplies features;
-# levels 2 and 3 live at 16x16 for 128-px inputs
+# a small randomly initialised convolutional pyramid supplies features,
+# two maps for each selected layer; levels 2 and 3 (layer 4) live at 16x16
+# for 128-px inputs
 store = ParamStore(rng=np.random.default_rng(0))
-backbone = ToyBackbone(store)
+backbone = ToyBackbone(store, layers=(3, 4, 5))
 feat_s = backbone.forward(pair.source)
 feat_t = backbone.forward(pair.target)
 print("feature levels:", [tuple(f.grid.shape) for f in feat_s])

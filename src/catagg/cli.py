@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, infer, gradcheck, bench. Exit codes:
-0 success, 1 numeric or acceptance failure, 2 usage error. Every artifact
+0 success; 2 usage error (one `usage error:` line, bad flags included); 1
+for a failing gradcheck, any other `CatAggError` (`error:`), an `OSError`
+(`i/o error:`) or a `MemoryError`. Every artifact
 a command writes carries the fully resolved config as `# key = value`
 header lines (or inside checkpoint metadata).
 """
@@ -28,8 +30,15 @@ from .tensor_io import atomic_write, load_tensor, save_tensor
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad argument as a `UsageError`, which prints one line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="catagg",
         description="cost-aggregation matching models on synthetic pairs")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -257,12 +266,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:  # -h prints the help and exits
+            return int(e.code) if e.code else 0
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 from .cats import MODES, CatsConfig
 from .catspp import EfficientConfig, EmbedConfig
 from .errors import ConfigError, read_lines
-from .model import CatsModel, CatsPPModel
+from .model import CatsModel, CatsPPModel, check_layers
 from .params import ParamStore
 from .pipeline import TrainConfig
 
@@ -163,12 +163,7 @@ class RunConfig:
             raise ConfigError(
                 f"layers: expected comma-separated ints, got "
                 f"'{self['layers']}'") from None
-        bad = [q for q in layers if q not in (3, 4, 5)]
-        if bad or not layers:
-            raise ConfigError(f"layers must come from 3,4,5, got {layers}")
-        if len(set(layers)) != len(layers):
-            raise ConfigError(f"layers must be distinct, got {layers}")
-        return layers
+        return check_layers(layers)
 
     def alphas(self) -> tuple[float, ...]:
         try:

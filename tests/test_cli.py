@@ -463,7 +463,9 @@ class TestModelShape:
         (["catspp.proj_kernel=4"], "catspp.proj_kernel: must be odd"),
         (["catspp.ffn_kernel=4"], "catspp.ffn_kernel: must be odd"),
         (["layers=5,5"], "layers must be distinct"),
-        (["model=cats", "layers=4,4"], "layers must be distinct")])
+        (["model=cats", "layers=4,4"], "layers must be distinct"),
+        (["layers=6"], "layers must come from 3,4,5"),
+        (["model=cats", "layers=6"], "layers must come from 3,4,5")])
     def test_unrunnable_model_usage_error(self, workdir, tmp_path, capsys,
                                           sets, message):
         ck = tmp_path / "ck.catb"
@@ -551,3 +553,34 @@ class TestNonUtf8Input:
         assert re.search(rf"^error: .*{re.escape(str(kps))}.*UTF-8", err, re.M)
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestArgumentErrors:
+    """argparse failures print one `usage error:` line, like every other
+    usage error; `-h` still prints the help."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--data", "x"], "the following arguments are required: "
+                                  "--checkpoint, --report"),
+        (["gen-data", "--out", "x", "--pairs", "abc"],
+         "argument --pairs: invalid int value: 'abc'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'")])
+    def test_one_usage_line(self, tmp_path, monkeypatch, capsys, argv,
+                            message):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("usage error: catagg")
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+        assert os.listdir(tmp_path) == []
+
+    def test_help_unchanged(self, capsys):
+        assert main(["eval", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: catagg eval ")
+        assert captured.err == ""

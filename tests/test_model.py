@@ -1,5 +1,7 @@
 """Backbone pyramid and the end-to-end model wrappers."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,38 @@ from catagg import pipeline as pl
 from catagg import tensor as tt
 from catagg.cats import CatsConfig
 from catagg.catspp import EfficientConfig, EmbedConfig
-from catagg.errors import DimensionError
+from catagg.config import RunConfig
+from catagg.errors import ConfigError, DimensionError
 from catagg.flow import soft_argmax_flow
 from catagg.model import (CatsModel, CatsPPModel, ToyBackbone, _patch_merge,
                           raw_correlation_mean)
 from catagg.params import ParamStore
 from catagg.synth import generate_pair
+from catagg.tensor import _Node
 from catagg.tensor import Tensor
+
+
+ALL = (3, 4, 5)
 
 
 def _store(seed=0, dtype=np.float32):
     return ParamStore(rng=np.random.default_rng(seed), dtype=dtype)
+
+
+def _nodes(monkeypatch, fn) -> int:
+    """Graph nodes recorded while `fn()` runs."""
+    seen = []
+
+    class Counting(_Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(tt, "_Node", Counting)
+    fn()
+    return len(seen)
 
 
 def _image(seed=0, size=128):
@@ -49,7 +72,7 @@ class TestPatchMerge:
 class TestToyBackbone:
     def test_pyramid_shapes(self):
         store = _store()
-        bb = ToyBackbone(store)
+        bb = ToyBackbone(store, ALL)
         feats = bb.forward(_image())
         assert [f.level for f in feats] == [0, 1, 2, 3, 4, 5]
         assert [f.layer for f in feats] == [3, 3, 4, 4, 5, 5]
@@ -60,32 +83,70 @@ class TestToyBackbone:
     def test_zero_image_zero_features(self):
         # zero biases and gelu(0) = 0 make the zero image a fixed point
         store = _store()
-        bb = ToyBackbone(store)
+        bb = ToyBackbone(store, ALL)
         feats = bb.forward(Tensor(np.zeros((128, 128, 3), dtype=np.float32)))
         for f in feats:
             np.testing.assert_array_equal(f.grid.data, 0.0)
 
     def test_deterministic(self):
-        f1 = ToyBackbone(_store(7)).forward(_image(3))
-        f2 = ToyBackbone(_store(7)).forward(_image(3))
+        f1 = ToyBackbone(_store(7), ALL).forward(_image(3))
+        f2 = ToyBackbone(_store(7), ALL).forward(_image(3))
         for a, b in zip(f1, f2):
             np.testing.assert_array_equal(a.grid.data, b.grid.data)
 
     def test_input_validation(self):
-        bb = ToyBackbone(_store())
+        bb = ToyBackbone(_store(), ALL)
         with pytest.raises(DimensionError):
             bb.forward(Tensor(np.zeros((100, 128, 3), dtype=np.float32)))
         with pytest.raises(DimensionError):
             bb.forward(Tensor(np.zeros((128, 128), dtype=np.float32)))
 
     def test_smaller_images_scale_grids(self):
-        feats = ToyBackbone(_store()).forward(_image(0, size=64))
+        feats = ToyBackbone(_store(), ALL).forward(_image(0, size=64))
         assert [f.grid.shape[:2] for f in feats] == [
             (16, 16), (16, 16), (8, 8), (8, 8), (4, 4), (4, 4)]
 
+    @pytest.mark.parametrize("layers", [
+        c for n in (1, 2, 3) for c in combinations(ALL, n)])
+    def test_selected_maps_equal_full_forward(self, layers):
+        image = _image(4)
+        full = ToyBackbone(_store(7), ALL).forward(image)
+        got = ToyBackbone(_store(7), layers[::-1]).forward(image)
+        want = [f for f in full if f.layer in layers]
+        assert [(f.level, f.layer) for f in got] == [
+            (f.level, f.layer) for f in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.grid.data, b.grid.data)
+
+    @pytest.mark.parametrize("layers", [(3,), (4, 5)])
+    def test_every_parameter_registered(self, layers):
+        full, part = _store(7), _store(7)
+        ToyBackbone(full, ALL)
+        ToyBackbone(part, layers)
+        assert part.names() == full.names()
+        for name in full.names():
+            np.testing.assert_array_equal(part[name].data, full[name].data)
+
+    def test_skips_the_unread_mix_map(self, monkeypatch):
+        # stage 3's mix map (matmul, bias add, gelu, reshape) is not computed
+        # when layer 3 is not selected
+        def nodes(layers):
+            bb = ToyBackbone(_store(), layers)
+            return _nodes(monkeypatch, lambda: bb.forward(_image()))
+
+        assert nodes(ALL) - nodes((4, 5)) == 4
+
+    @pytest.mark.parametrize("layers,message", [
+        ((6,), "layers must come from 3,4,5"),
+        ((), "layers must come from 3,4,5"),
+        ((4, 4), "layers must be distinct")])
+    def test_unknown_layers_rejected(self, layers, message):
+        with pytest.raises(ConfigError, match=message):
+            ToyBackbone(_store(), layers)
+
     def test_gradients_reach_first_stage(self):
         store = _store(dtype=np.float64)
-        bb = ToyBackbone(store)
+        bb = ToyBackbone(store, ALL)
         feats = bb.forward(Tensor(np.random.default_rng(0)
                                   .normal(size=(32, 32, 3))))
         loss = tt.tsum(tt.mul(feats[-1].grid, feats[-1].grid))
@@ -99,7 +160,7 @@ class TestRawCorrelationMean:
     def test_equals_stack_mean(self):
         from catagg.correlation import build_stack
         store = _store()
-        bb = ToyBackbone(store)
+        bb = ToyBackbone(store, ALL)
         fs = bb.forward(_image(1))[2:]
         ft = bb.forward(_image(2))[2:]
         m = raw_correlation_mean(fs, ft, (16, 16))
@@ -107,6 +168,40 @@ class TestRawCorrelationMean:
         np.testing.assert_array_equal(
             m.data, stack.maps.data.mean(axis=0).reshape(16, 16, 16, 16))
         assert m.shape == (16, 16, 16, 16)
+
+
+class TestMatchingModel:
+    """What `CatsModel` and `CatsPPModel` share."""
+
+    @pytest.mark.parametrize("build", [
+        lambda store, layers: CatsModel(store, CatsConfig(), layers=layers),
+        lambda store, layers: CatsPPModel(store, EmbedConfig(),
+                                          EfficientConfig(), layers=layers)],
+        ids=["cats", "catspp"])
+    @pytest.mark.parametrize("layers,message", [
+        ((6,), "layers must come from 3,4,5, got \\(6,\\)"),
+        ((4, 4), "layers must be distinct")])
+    def test_bad_layers_are_config_errors(self, build, layers, message):
+        with pytest.raises(ConfigError, match=message):
+            build(_store(), layers)
+
+    @pytest.mark.parametrize("sets,count", [
+        ((), 252),
+        (("model=catspp", "grid.h=8", "grid.w=8", "mode=parallel"), 278)],
+        ids=["cats", "catspp"])
+    def test_train_step_nodes(self, monkeypatch, sets, count):
+        # pinned: the backbone records no node for stage 3's unread mix map
+        cfg = RunConfig.load(None, sets=[*sets, "seed=7"])
+        model = cfg.build_model()
+        opt = pl.make_optimizer(model, cfg.train_config())
+        batch = [generate_pair(1000, grid=cfg.grid())]
+        pl.train_step(model, opt, batch)
+        assert _nodes(monkeypatch,
+                      lambda: pl.train_step(model, opt, batch)) == count
+
+    def test_wta_bound_per_class(self):
+        # perfbench/spans.py times each class's own `wta`
+        assert "wta" in vars(CatsModel) and "wta" in vars(CatsPPModel)
 
 
 class TestCatsModel:
