@@ -168,11 +168,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    alphas = cfg.alphas()
     _require_file(args.data, "dataset manifest")
     model = _build(cfg, args.checkpoint)[0]
     pairs = pl.load_pairs(args.data)
-    report = pl.evaluate(model, pairs, alphas=cfg.alphas(),
-                         threads=cfg["threads"])
+    report = pl.evaluate(model, pairs, alphas=alphas, threads=cfg["threads"])
     text = report.to_text(cfg.echo())
     with atomic_write(args.report, "w") as fh:
         fh.write(text)

@@ -174,6 +174,12 @@ class RunConfig:
                 f"'{self['alphas']}'") from None
         if not vals or any(not 0 < a <= 1 for a in vals):
             raise ConfigError(f"alphas must sit in (0, 1], got {vals}")
+        # reports label each alpha as pck@{a:g}, so two alphas may not share one
+        labels = [f"{a:g}" for a in vals]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"alphas: repeated PCK label pck@{label} in "
+                                  f"'{self['alphas']}'")
         return vals
 
     def grid(self) -> tuple[int, int]:

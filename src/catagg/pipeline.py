@@ -79,12 +79,47 @@ def _batch_loss(model, batch: list[SyntheticPair]) -> Tensor:
     return tt.tmean(tt.concat(losses, axis=0))
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_heap():
+    """Keep a train step's freed heap in the process, once per process.
+
+    glibc raises its mmap threshold to the largest block freed so far (on
+    cats, the FFN hidden of about 4.7 MB) and trims the heap top above
+    twice that, so each backward handed the activations' pages back to the
+    kernel and the next forward faulted them in again: about 17,500 minor
+    faults per cats desk step. Setting either threshold turns that dynamic
+    rule off and leaves the other at its 128 KiB default, which faults
+    more, so both are set: blocks up to 32 MiB, the largest mmap threshold
+    glibc takes, come from the heap, which is trimmed only above 1 GiB of
+    free top. In a long-lived process (a whole test session) part of each
+    step still came from a second arena, whose extra 64 MiB heaps glibc
+    unmaps whenever they empty, whatever the trim threshold: 2,400 to
+    12,000 faults a step. So all threads share one arena from here on,
+    and that step takes none. Results are unchanged. Where the C library has no `mallopt` (not
+    glibc), nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def train_step(model, opt: AdamW, batch: list[SyntheticPair]) -> float:
     """Forward, AEPE loss, backward, one optimizer update; returns the loss.
 
     The last step's gradients are dropped first, so they are not held
-    while the forward builds its activations.
+    while the forward builds its activations. The first step of a process
+    sets glibc's heap policy (see `_keep_heap`).
     """
+    _keep_heap()
     model.store.zero_grad()
     loss = _batch_loss(model, batch)
     value = loss.item()

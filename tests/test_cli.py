@@ -149,6 +149,20 @@ class TestTrainEval:
         assert re.fullmatch(r"error: manifest \S+ line \d+: seed -1 is negative\n", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas", ["0.1,0.1", "0.1,0.1000001"])
+    def test_repeated_pck_label_usage_error(self, workdir, tmp_path, capsys,
+                                            alphas):
+        rep = tmp_path / "r.txt"
+        code = main(["eval", "--data", workdir["data"], "--checkpoint",
+                     workdir["ck"], "--report", str(rep),
+                     "--set", f"alphas={alphas}", *CATSPP])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert re.fullmatch(r"usage error: alphas: repeated PCK label pck@0\.1 [^\n]*\n",
+                            captured.err)
+        assert captured.out == ""
+        assert not rep.exists()
+
 
 class TestStreamedPairs:
     """Each pair is regenerated and checked at its first use in a command."""

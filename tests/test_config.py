@@ -1,5 +1,7 @@
 """Run configuration: defaults, file parsing, overrides, typed views."""
 
+import re
+
 import pytest
 
 from catagg.cats import CatsConfig
@@ -113,6 +115,13 @@ class TestTypedViews:
         assert RunConfig().alphas() == (0.05, 0.1, 0.15)
         with pytest.raises(ConfigError):
             RunConfig.load(None, sets=["alphas=0,2"]).alphas()
+
+    @pytest.mark.parametrize("alphas, label", [
+        ("0.1,0.1", "0.1"), ("0.1,0.1000001", "0.1"), ("0.05,0.1,0.05", "0.05")])
+    def test_repeated_pck_label_rejected(self, alphas, label):
+        # a report labels each alpha pck@{a:g}: 0.1000001 prints as 0.1
+        with pytest.raises(ConfigError, match=rf"repeated PCK label pck@{re.escape(label)} "):
+            RunConfig.load(None, sets=[f"alphas={alphas}"]).alphas()
 
     def test_grid(self):
         cfg = RunConfig.load(None, sets=["grid.h=8", "grid.w=12"])

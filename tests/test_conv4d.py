@@ -8,6 +8,7 @@ import pytest
 from catagg import catspp, volume_ops
 from catagg import pipeline as pl
 from catagg import tensor as T
+from catagg.bench import compare_blocks
 from catagg.config import RunConfig
 from catagg.errors import DimensionError
 from catagg.gradcheck import check_op
@@ -100,6 +101,15 @@ def test_vjp_sweep_against_nested_loop_oracle(monkeypatch, budget):
     # before
     if budget is not None:
         monkeypatch.setattr(volume_ops, "_FOLD_BYTES", budget)
+    # both cases sweep the same shapes; the cached plans the default case
+    # left behind must not serve the one-row case
+    plans, cached = [], volume_ops._plan
+
+    def recorded(*key):
+        plans.append(cached(*key))
+        return plans[-1]
+
+    monkeypatch.setattr(volume_ops, "_plan", recorded)
     rng = np.random.default_rng(11)
     worst = 0.0
     for stride in VJP_STRIDES:
@@ -108,6 +118,81 @@ def test_vjp_sweep_against_nested_loop_oracle(monkeypatch, budget):
             cin, cout = (int(c) for c in rng.integers(1, 4, size=2))
             worst = max(worst, _conv_error(rng, ns, ks, cin, cout, stride))
     assert worst < 1e-9
+    if budget is None:
+        assert any(p.rows > 1 for p in plans)
+    else:
+        assert all(p.rows == 1 for p in plans)
+
+
+def _conv_arrays(x, k, stride) -> list:
+    out = conv4d(T.Tensor(x, dtype=x.dtype, requires_grad=True),
+                 T.Tensor(k, dtype=k.dtype, requires_grad=True), stride)
+    g = np.random.default_rng(1).normal(size=out.shape).astype(x.dtype)
+    return [out.data, *out._node.vjp(g)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2)])
+def test_warm_plan_equals_cold_plan_bitwise(dtype, stride):
+    # output, dx and dk from a freshly built plan and from the cached one
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(5, 4, 6, 3, 2)).astype(dtype)
+    k = rng.normal(size=(3, 3, 3, 3, 2, 3)).astype(dtype)
+    volume_ops._plan.cache_clear()
+    cold = _conv_arrays(x, k, stride)
+    built = volume_ops._plan.cache_info().misses
+    warm = _conv_arrays(x, k, stride)
+    assert volume_ops._plan.cache_info().misses == built
+    for a, b in zip(cold, warm):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_plans_are_keyed_by_dtype_pads_and_budget():
+    ns, ks, unit = (4, 4, 4, 4), (3, 3, 3, 3), (1, 1, 1, 1)
+    f32, budget = np.dtype(np.float32), volume_ops._FOLD_BYTES
+
+    def plan(dtype=f32, pads=unit, budget=budget):
+        return volume_ops._plan(ns, 2, 3, ks, unit, ns, pads, dtype, budget)
+
+    base = plan()
+    assert plan() is base
+    others = [plan(dtype=np.dtype(np.float64)), plan(pads=(0, 1, 2, 1)), plan(budget=1)]
+    assert all(p is not base for p in others)
+    assert others[0].dtype == np.float64
+    assert base.rows == 4 and others[2].rows == 1
+
+
+def test_plan_cache_is_bounded():
+    cap = volume_ops._plan.cache_info().maxsize
+    assert cap is not None
+    ns, ks, unit = (2, 2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1)
+    for budget in range(1, cap + 2):
+        volume_ops._plan(ns, 1, 1, ks, unit, ns, (0, 0, 0, 0), np.dtype(np.float32), budget)
+    assert volume_ops._plan.cache_info().currsize == cap
+
+
+def test_second_catspp_step_builds_no_plan():
+    cfg = RunConfig.load(None, sets=["model=catspp", "grid.h=8", "grid.w=8", "mode=parallel"])
+    model = cfg.build_model()
+    opt = pl.make_optimizer(model, cfg.train_config())
+    pair = generate_pair(1000, grid=cfg.grid())
+    pl.train_step(model, opt, [pair])
+    info = volume_ops._plan.cache_info()
+    pl.train_step(model, opt, [pair])
+    after = volume_ops._plan.cache_info()
+    assert after.misses == info.misses
+    assert after.hits > info.hits
+
+
+def test_cold_plans_keep_the_efficient_block_below_the_standard_one():
+    # c7's comparison with every plan built inside the traced forward
+    cfg = RunConfig.load(None, sets=["model=catspp", "grid.h=8", "grid.w=8"])
+    model = cfg.build_model()
+    for q in cfg.layers():
+        volume_ops._plan.cache_clear()
+        row = compare_blocks(model, q)
+        assert row["efficient.peak_bytes"] <= row["standard.peak_bytes"], (q, row)
 
 
 def test_vjp_matches_oracle_on_the_catspp_projection_shape():

@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import os
+import platform
 import re
 import tracemalloc
 import weakref
@@ -159,6 +160,23 @@ class TestTrainStep:
         monkeypatch.setattr(pl, "_batch_loss", probed_forward)
         pl.train_step(model, opt, pairs)
         assert alive == [0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is glibc's mallopt")
+    def test_warm_cats_step_keeps_its_heap(self):
+        # glibc's dynamic thresholds returned a cats desk step's activations
+        # to the kernel after each backward, about 17,500 minor faults a step
+        import resource  # Unix only, as the skip condition implies
+
+        store, model = _build_cats()
+        opt = pl.make_optimizer(model, pl.TrainConfig(steps=3))
+        pairs = _pairs(1)
+        for _ in range(2):
+            pl.train_step(model, opt, pairs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pl.train_step(model, opt, pairs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000, faults
 
     def test_zero_lr_keeps_params_and_loss_constant(self):
         store, model = _build()
